@@ -65,6 +65,7 @@ manager; after a sweep the manager is at its empty baseline
 from __future__ import annotations
 
 import pickle
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -79,7 +80,7 @@ from ..bdd import snapshot as bdd_snapshot
 from ..bdd._array import ArrayBddManager
 from ..boolprog import Program, build_cfg, check_program, parse_program
 from ..encode.templates import SequentialEncoder, TemplateSet
-from ..errors import ResourceExhausted
+from ..errors import RecursionDepthExceeded, ResourceExhausted
 from ..fixedpoint import evaluate_nested, evaluate_simultaneous
 from ..fixedpoint.evaluator import EvaluationResult
 from ..fixedpoint.symbolic import SymbolicBackend
@@ -917,7 +918,10 @@ class AnalysisSession:
         disarmed and the failed run's garbage is swept (retained
         interpretations and compiled skeletons are external roots and
         survive), so the session stays usable and ``close()`` still returns
-        the manager to its baseline.
+        the manager to its baseline.  A ``RecursionError`` out of the kernel
+        is handled the same way and re-raised as
+        :class:`~repro.errors.RecursionDepthExceeded`: it is raised on frame
+        entry, never half-way through a node or cache update.
         """
         mgr = state.backend.manager
         limits = self.limits
@@ -926,9 +930,16 @@ class AnalysisSession:
             mgr.set_deadline(limits.deadline_seconds)
         try:
             yield
-        except ResourceExhausted:
+        except (ResourceExhausted, RecursionError) as exc:
             mgr.clear_deadline()
             mgr.collect_garbage()
+            if isinstance(exc, RecursionError):
+                limit = sys.getrecursionlimit()
+                raise RecursionDepthExceeded(
+                    f"BDD kernel recursion exceeded the interpreter limit of "
+                    f"{limit} frames ({mgr.num_vars} variables)",
+                    budget=limit,
+                ) from exc
             raise
         finally:
             if armed:

@@ -27,8 +27,9 @@ the API:
 
 Packed-key capacity bounds (per manager): at most ``2**23`` node slots
 (edges fit 24 bits) and ``2**15 - 1`` variables (levels fit the remaining
-key bits).  Exceeding either raises :class:`~repro.bdd.manager.BddError`
-with a pointer at the dict store, which has no such bounds.
+key bits).  Both errors point at the dict store, which has no such bounds:
+too many variables raises :class:`~repro.bdd.manager.BddError`, too many
+nodes the typed limit :class:`~repro.errors.NodeSlotsExhausted`.
 
 The differential suite (``tests/test_bdd_differential.py``) runs the full
 formula corpus against both layouts; nothing outside this module may depend
@@ -38,9 +39,9 @@ on the layout.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..errors import NodeBudgetExceeded
+from ..errors import NodeBudgetExceeded, NodeSlotsExhausted
 from . import _vector
 from .manager import BddError, BddManager, QuantCube, QuantVars, _RenameMap
 
@@ -69,7 +70,6 @@ class ArrayBddManager(BddManager):
     def __init__(
         self,
         var_names: Optional[Sequence[str]] = None,
-        explicit_stack: bool = False,
         gc_enabled: bool = True,
         gc_threshold: int = 65_536,
         gc_growth: float = 2.0,
@@ -83,7 +83,6 @@ class ArrayBddManager(BddManager):
         self._next_uid = 0
         super().__init__(
             var_names=var_names,
-            explicit_stack=explicit_stack,
             gc_enabled=gc_enabled,
             gc_threshold=gc_threshold,
             gc_growth=gc_growth,
@@ -131,11 +130,7 @@ class ArrayBddManager(BddManager):
             else:
                 index = len(self._level)
                 if index > MAX_NODE_INDEX:
-                    raise BddError(
-                        f"array store supports at most {MAX_NODE_INDEX} node "
-                        "slots (packed-key bound); construct the manager with "
-                        "store='dict'"
-                    )
+                    raise NodeSlotsExhausted(consumed=index, budget=MAX_NODE_INDEX)
                 self._level.append(level)
                 self._lo.append(lo)
                 self._hi.append(hi)
@@ -198,49 +193,6 @@ class ArrayBddManager(BddManager):
         self._and_cache[key] = result
         return result
 
-    def _and_iter(self, root_f: int, root_g: int) -> int:
-        cache = self._and_cache
-        results: List[int] = []
-        work: List[Tuple] = [(0, root_f, root_g)]
-        while work:
-            frame = work.pop()
-            if frame[0] == 0:
-                f, g = frame[1], frame[2]
-                if f == g or g == 1:
-                    results.append(f)
-                    continue
-                if f == 1:
-                    results.append(g)
-                    continue
-                if f == 0 or g == 0 or f == g ^ 1:
-                    results.append(0)
-                    continue
-                if f > g:
-                    f, g = g, f
-                key = (f << EDGE_BITS) | g
-                cached = cache.get(key)
-                if cached is not None:
-                    self._hits["and"] += 1
-                    results.append(cached)
-                    continue
-                self._misses["and"] += 1
-                level_f = self._level[f >> 1]
-                level_g = self._level[g >> 1]
-                level = level_f if level_f < level_g else level_g
-                f_lo, f_hi = self._cofactors(f, level)
-                g_lo, g_hi = self._cofactors(g, level)
-                work.append((1, key, level))
-                work.append((0, f_hi, g_hi))
-                work.append((0, f_lo, g_lo))
-            else:
-                key, level = frame[1], frame[2]
-                hi = results.pop()
-                lo = results.pop()
-                result = lo if lo == hi else self._mk(level, lo, hi)
-                cache[key] = result
-                results.append(result)
-        return results[0]
-
     def _xor(self, f: int, g: int) -> int:
         sign = (f ^ g) & 1
         f &= ~1
@@ -279,52 +231,6 @@ class ArrayBddManager(BddManager):
         self._xor_cache[key] = result
         return result ^ sign
 
-    def _xor_iter(self, root_f: int, root_g: int) -> int:
-        cache = self._xor_cache
-        results: List[int] = []
-        work: List[Tuple] = [(0, root_f, root_g)]
-        while work:
-            frame = work.pop()
-            if frame[0] == 0:
-                f, g = frame[1], frame[2]
-                sign = (f ^ g) & 1
-                f &= ~1
-                g &= ~1
-                if f == g:
-                    results.append(sign)
-                    continue
-                if f == 0:
-                    results.append(g ^ sign)
-                    continue
-                if g == 0:
-                    results.append(f ^ sign)
-                    continue
-                if f > g:
-                    f, g = g, f
-                key = (f << EDGE_BITS) | g
-                cached = cache.get(key)
-                if cached is not None:
-                    self._hits["xor"] += 1
-                    results.append(cached ^ sign)
-                    continue
-                self._misses["xor"] += 1
-                level_f = self._level[f >> 1]
-                level_g = self._level[g >> 1]
-                level = level_f if level_f < level_g else level_g
-                f_lo, f_hi = self._cofactors(f, level)
-                g_lo, g_hi = self._cofactors(g, level)
-                work.append((1, key, level, sign))
-                work.append((0, f_hi, g_hi))
-                work.append((0, f_lo, g_lo))
-            else:
-                key, level, sign = frame[1], frame[2], frame[3]
-                hi = results.pop()
-                lo = results.pop()
-                result = lo if lo == hi else self._mk(level, lo, hi)
-                cache[key] = result
-                results.append(result ^ sign)
-        return results[0]
-
     # ------------------------------------------------------------------
     # ite (packed triple key)
     # ------------------------------------------------------------------
@@ -348,43 +254,6 @@ class ArrayBddManager(BddManager):
         result = self._mk(level, lo, hi)
         self._ite_cache[key] = result
         return result ^ sign
-
-    def _ite_iter(self, root_f: int, root_g: int, root_h: int) -> int:
-        cache = self._ite_cache
-        results: List[int] = []
-        work: List[Tuple] = [(0, root_f, root_g, root_h)]
-        while work:
-            frame = work.pop()
-            if frame[0] == 0:
-                done, triple = self._ite_norm(frame[1], frame[2], frame[3])
-                if triple is None:
-                    results.append(done)
-                    continue
-                f, g, h, sign = triple
-                key = (((f << EDGE_BITS) | g) << EDGE_BITS) | h
-                cached = cache.get(key)
-                if cached is not None:
-                    self._hits["ite"] += 1
-                    results.append(cached ^ sign)
-                    continue
-                self._misses["ite"] += 1
-                level = min(
-                    self._level[f >> 1], self._level[g >> 1], self._level[h >> 1]
-                )
-                f_lo, f_hi = self._cofactors(f, level)
-                g_lo, g_hi = self._cofactors(g, level)
-                h_lo, h_hi = self._cofactors(h, level)
-                work.append((1, key, level, sign))
-                work.append((0, f_hi, g_hi, h_hi))
-                work.append((0, f_lo, g_lo, h_lo))
-            else:
-                key, level, sign = frame[1], frame[2], frame[3]
-                hi = results.pop()
-                lo = results.pop()
-                result = self._mk(level, lo, hi)
-                cache[key] = result
-                results.append(result ^ sign)
-        return results[0]
 
     # ------------------------------------------------------------------
     # Quantification (cube uids packed into keys)
@@ -436,67 +305,6 @@ class ArrayBddManager(BddManager):
         self._exists_cache[key] = result
         return result
 
-    def _exists_iter(self, root: int, cube: QuantCube) -> int:
-        cache = self._exists_cache
-        cube_uid = cube.uid << EDGE_BITS
-        results: List[int] = []
-        work: List[Tuple] = [(0, root)]
-        while work:
-            frame = work.pop()
-            tag = frame[0]
-            if tag == 0:
-                f = frame[1]
-                if f <= 1:
-                    results.append(f)
-                    continue
-                index = f >> 1
-                level = self._level[index]
-                if level > cube.last:
-                    results.append(f)
-                    continue
-                key = cube_uid | f
-                cached = cache.get(key)
-                if cached is not None:
-                    self._hits["exists"] += 1
-                    results.append(cached)
-                    continue
-                self._misses["exists"] += 1
-                sign = f & 1
-                lo = self._lo[index] ^ sign
-                hi = self._hi[index] ^ sign
-                if level in cube.members:
-                    work.append((1, key, hi))
-                    work.append((0, lo))
-                else:
-                    work.append((3, key, level))
-                    work.append((0, hi))
-                    work.append((0, lo))
-            elif tag == 1:
-                key, hi = frame[1], frame[2]
-                r_lo = results.pop()
-                if r_lo == self.TRUE:
-                    cache[key] = self.TRUE
-                    results.append(self.TRUE)
-                else:
-                    results.append(r_lo)
-                    work.append((2, key))
-                    work.append((0, hi))
-            elif tag == 2:
-                key = frame[1]
-                r_hi = results.pop()
-                r_lo = results.pop()
-                result = self.or_(r_lo, r_hi)
-                cache[key] = result
-                results.append(result)
-            else:
-                key, level = frame[1], frame[2]
-                r_hi = results.pop()
-                r_lo = results.pop()
-                result = self._mk(level, r_lo, r_hi)
-                cache[key] = result
-                results.append(result)
-        return results[0]
-
     def _and_exists(self, f: int, g: int, cube: QuantCube) -> int:
         if f == 0 or g == 0 or f == g ^ 1:
             return 0
@@ -535,78 +343,6 @@ class ArrayBddManager(BddManager):
         self._and_exists_cache[key] = result
         return result
 
-    def _and_exists_iter(self, root_f: int, root_g: int, cube: QuantCube) -> int:
-        cache = self._and_exists_cache
-        cube_uid = cube.uid
-        results: List[int] = []
-        work: List[Tuple] = [(0, root_f, root_g)]
-        while work:
-            frame = work.pop()
-            tag = frame[0]
-            if tag == 0:
-                f, g = frame[1], frame[2]
-                if f == 0 or g == 0 or f == g ^ 1:
-                    results.append(0)
-                    continue
-                if f == 1 and g == 1:
-                    results.append(1)
-                    continue
-                if f == 1:
-                    results.append(self._exists_iter(g, cube))
-                    continue
-                if g == 1 or f == g:
-                    results.append(self._exists_iter(f, cube))
-                    continue
-                if f > g:
-                    f, g = g, f
-                level_f = self._level[f >> 1]
-                level_g = self._level[g >> 1]
-                level = level_f if level_f < level_g else level_g
-                if level > cube.last:
-                    results.append(self._and_iter(f, g))
-                    continue
-                key = (((cube_uid << EDGE_BITS) | f) << EDGE_BITS) | g
-                cached = cache.get(key)
-                if cached is not None:
-                    self._hits["and_exists"] += 1
-                    results.append(cached)
-                    continue
-                self._misses["and_exists"] += 1
-                f_lo, f_hi = self._cofactors(f, level)
-                g_lo, g_hi = self._cofactors(g, level)
-                if level in cube.members:
-                    work.append((1, key, f_hi, g_hi))
-                    work.append((0, f_lo, g_lo))
-                else:
-                    work.append((3, key, level))
-                    work.append((0, f_hi, g_hi))
-                    work.append((0, f_lo, g_lo))
-            elif tag == 1:
-                key, f_hi, g_hi = frame[1], frame[2], frame[3]
-                lo = results.pop()
-                if lo == self.TRUE:
-                    cache[key] = self.TRUE
-                    results.append(self.TRUE)
-                else:
-                    results.append(lo)
-                    work.append((2, key))
-                    work.append((0, f_hi, g_hi))
-            elif tag == 2:
-                key = frame[1]
-                hi = results.pop()
-                lo = results.pop()
-                result = self.or_(lo, hi)
-                cache[key] = result
-                results.append(result)
-            else:
-                key, level = frame[1], frame[2]
-                hi = results.pop()
-                lo = results.pop()
-                result = self._mk(level, lo, hi)
-                cache[key] = result
-                results.append(result)
-        return results[0]
-
     # ------------------------------------------------------------------
     # Rename / restrict (map uids packed into keys)
     # ------------------------------------------------------------------
@@ -643,12 +379,8 @@ class ArrayBddManager(BddManager):
         mapped = [normalised.get(levels, levels) for levels in ordered]
         if all(mapped[i] < mapped[i + 1] for i in range(len(mapped) - 1)):
             self._rename_fast += 1
-            if self._explicit_stack:
-                return self._rename_iter(f, rmap, shift=True)
             return self._rename_shift(f, rmap)
         self._rename_slow += 1
-        if self._explicit_stack:
-            return self._rename_iter(f, rmap, shift=False)
         return self._rename_ite(f, rmap)
 
     def _rename_shift(self, f: int, rmap: "_RenameMap") -> int:
@@ -690,45 +422,6 @@ class ArrayBddManager(BddManager):
         result = self.ite(self.var(target), hi, lo)
         self._rename_cache[key] = result
         return result ^ sign
-
-    def _rename_iter(self, root: int, rmap: "_RenameMap", shift: bool) -> int:
-        cache = self._rename_cache
-        mapping = rmap.mapping
-        map_uid = rmap.uid << EDGE_BITS
-        results: List[int] = []
-        work: List[Tuple] = [(0, root)]
-        while work:
-            frame = work.pop()
-            if frame[0] == 0:
-                f = frame[1]
-                if f <= 1:
-                    results.append(f)
-                    continue
-                sign = f & 1
-                f ^= sign
-                key = map_uid | f
-                cached = cache.get(key)
-                if cached is not None:
-                    self._hits["rename"] += 1
-                    results.append(cached ^ sign)
-                    continue
-                self._misses["rename"] += 1
-                index = f >> 1
-                work.append((1, key, sign, self._level[index]))
-                work.append((0, self._hi[index]))
-                work.append((0, self._lo[index]))
-            else:
-                key, sign, level = frame[1], frame[2], frame[3]
-                hi = results.pop()
-                lo = results.pop()
-                target = mapping.get(level, level)
-                if shift:
-                    result = self._mk(target, lo, hi)
-                else:
-                    result = self.ite(self.var(target), hi, lo)
-                cache[key] = result
-                results.append(result ^ sign)
-        return results[0]
 
     def restrict(self, f: int, assignment: Dict[int | str, bool]) -> int:
         fixed = {

@@ -51,13 +51,25 @@ when every live edge is enumerable — the evaluator does so between outer
 fixed-point iterations.  Nothing collects implicitly during an apply
 recursion, so intermediate results never need protection.
 
-Programs whose encodings have very many bit levels can exceed Python's
-recursion limit; constructing the manager with ``explicit_stack=True``
-switches the binary connectives, ``ite``, the quantifications
-(``exists`` / ``forall`` / ``and_exists``) and both rename paths to
-iterative, explicit-stack evaluations that are depth-independent
-(``restrict``/``compose`` and the enumeration helpers recurse at most one
-frame per variable level and stay recursive).
+Recursion depth
+---------------
+Every kernel is a plain Python recursion that descends at least one
+variable level per frame.  A kernel that calls another one at a node
+usually hands it operands below that node (``exists`` joining cofactors
+with ``or_``), so the chain keeps descending.  Only a rebuild onto other
+variables restarts from the top (the rename fall-back's ``ite``,
+``compose``), and an ``ite`` never restarts again; ``count_sat`` spends at
+most a second frame per level on a complemented edge.  So a call needs at
+most two frames per level plus a constant.  :meth:`BddManager.add_var`
+therefore raises the interpreter's recursion limit (it never lowers it) to
+``2 * num_vars + RECURSION_HEADROOM``, the headroom covering the caller's
+own frames.  CPython 3.11+ runs Python-to-Python calls without C stack, so
+the derived limit is safe at any depth; on 3.10 every frame also costs C
+stack, so the limit is capped at ``PY310_RECURSION_CAP``.  A kernel that
+still overruns the limit raises ``RecursionError``, which the analysis
+session reports as :class:`repro.errors.RecursionDepthExceeded`.
+Enumeration (:meth:`BddManager.sat_all`) is a loop, because generator
+recursion uses C stack on every version.
 
 Every operation family maintains hit/miss counters; :meth:`BddManager.stats`
 exposes them together with cache sizes, live/peak node counts and GC
@@ -68,6 +80,7 @@ bookkeeping in one step so per-run snapshots do not leak across runs.
 from __future__ import annotations
 
 import os
+import sys
 import time
 from typing import (
     Callable,
@@ -84,6 +97,14 @@ from typing import (
 from ..errors import AnalysisTimeout, NodeBudgetExceeded
 
 __all__ = ["BddManager", "BddError", "QuantCube"]
+
+#: Frames reserved above the kernels for their callers (session, evaluator,
+#: test harness); the interpreter's default limit.
+RECURSION_HEADROOM = 1000
+#: Recursion-limit ceiling on CPython 3.10, where every Python frame also
+#: costs C stack: at well under 1 KiB per frame, 8,000 frames stay inside
+#: the usual 8 MiB thread stack.
+PY310_RECURSION_CAP = 8000
 
 
 class BddError(Exception):
@@ -134,11 +155,8 @@ class BddManager:
         this sequence is its *level*: variables earlier in the sequence are
         tested closer to the root.  More variables can be added later with
         :meth:`add_var`, which appends them below all existing levels.
-    explicit_stack:
-        When True, the binary connectives, ``ite``, the quantifications and
-        the rename recursions run on an explicit work stack instead of
-        Python recursion, so arbitrarily deep BDDs cannot trip the
-        interpreter's recursion limit.
+        Declaring variables raises the interpreter's recursion limit to
+        fit the deepest kernel recursion (see the module docstring).
     gc_enabled:
         When False, :meth:`maybe_collect` never collects (explicit
         :meth:`collect_garbage` calls still work).
@@ -202,7 +220,6 @@ class BddManager:
     def __init__(
         self,
         var_names: Optional[Sequence[str]] = None,
-        explicit_stack: bool = False,
         gc_enabled: bool = True,
         gc_threshold: int = 65_536,
         gc_growth: float = 2.0,
@@ -238,7 +255,6 @@ class BddManager:
         self._cube_table: Dict[Tuple[int, ...], QuantCube] = {}
         self._rename_table: Dict[Tuple[Tuple[int, int], ...], "_RenameMap"] = {}
         self._restrict_table: Dict[Tuple[Tuple[int, bool], ...], "_RenameMap"] = {}
-        self._explicit_stack = bool(explicit_stack)
         # Hit/miss counters, keyed like the caches.
         self._hits: Dict[str, int] = {}
         self._misses: Dict[str, int] = {}
@@ -287,6 +303,13 @@ class BddManager:
         index = len(self._var_names)
         self._var_names.append(name)
         self._name_to_var[name] = index
+        # Two frames per level bound the deepest kernel nesting (see the
+        # module docstring); raise the limit to match, never lower it.
+        depth = 2 * len(self._var_names) + RECURSION_HEADROOM
+        if sys.version_info < (3, 11):
+            depth = min(depth, PY310_RECURSION_CAP)
+        if depth > sys.getrecursionlimit():
+            sys.setrecursionlimit(depth)
         return index
 
     def var_index(self, name: str) -> int:
@@ -412,8 +435,6 @@ class BddManager:
         operand made regular (by swapping the branches) and the result sign
         normalised on the then-branch.
         """
-        if self._explicit_stack:
-            return self._ite_iter(f, g, h)
         return self._ite(f, g, h)
 
     def _ite_norm(self, f: int, g: int, h: int):
@@ -480,44 +501,6 @@ class BddManager:
         self._ite_cache[key] = result
         return result ^ sign
 
-    def _ite_iter(self, root_f: int, root_g: int, root_h: int) -> int:
-        """Explicit-stack ``ite`` (frame scheme of :meth:`_and_iter`)."""
-        cache = self._ite_cache
-        results: List[int] = []
-        work: List[Tuple] = [(0, root_f, root_g, root_h)]
-        while work:
-            frame = work.pop()
-            if frame[0] == 0:
-                done, triple = self._ite_norm(frame[1], frame[2], frame[3])
-                if triple is None:
-                    results.append(done)
-                    continue
-                f, g, h, sign = triple
-                key = (f, g, h)
-                cached = cache.get(key)
-                if cached is not None:
-                    self._hits["ite"] += 1
-                    results.append(cached ^ sign)
-                    continue
-                self._misses["ite"] += 1
-                level = min(
-                    self._level[f >> 1], self._level[g >> 1], self._level[h >> 1]
-                )
-                f_lo, f_hi = self._cofactors(f, level)
-                g_lo, g_hi = self._cofactors(g, level)
-                h_lo, h_hi = self._cofactors(h, level)
-                work.append((1, key, level, sign))
-                work.append((0, f_hi, g_hi, h_hi))
-                work.append((0, f_lo, g_lo, h_lo))
-            else:
-                key, level, sign = frame[1], frame[2], frame[3]
-                hi = results.pop()
-                lo = results.pop()
-                result = self._mk(level, lo, hi)
-                cache[key] = result
-                results.append(result ^ sign)
-        return results[0]
-
     def _cofactors(self, edge: int, level: int) -> Tuple[int, int]:
         index = edge >> 1
         if self._level[index] == level:
@@ -527,8 +510,6 @@ class BddManager:
 
     def and_(self, f: int, g: int) -> int:
         """Boolean conjunction (dedicated apply recursion, own cache)."""
-        if self._explicit_stack:
-            return self._and_iter(f, g)
         return self._and(f, g)
 
     def _and(self, f: int, g: int) -> int:
@@ -571,54 +552,8 @@ class BddManager:
         self._and_cache[key] = result
         return result
 
-    def _and_iter(self, root_f: int, root_g: int) -> int:
-        """Explicit-stack conjunction (frames as in the seed's binary iter)."""
-        cache = self._and_cache
-        results: List[int] = []
-        work: List[Tuple] = [(0, root_f, root_g)]
-        while work:
-            frame = work.pop()
-            if frame[0] == 0:
-                f, g = frame[1], frame[2]
-                if f == g or g == 1:
-                    results.append(f)
-                    continue
-                if f == 1:
-                    results.append(g)
-                    continue
-                if f == 0 or g == 0 or f == g ^ 1:
-                    results.append(0)
-                    continue
-                if f > g:
-                    f, g = g, f
-                key = (f, g)
-                cached = cache.get(key)
-                if cached is not None:
-                    self._hits["and"] += 1
-                    results.append(cached)
-                    continue
-                self._misses["and"] += 1
-                level_f = self._level[f >> 1]
-                level_g = self._level[g >> 1]
-                level = level_f if level_f < level_g else level_g
-                f_lo, f_hi = self._cofactors(f, level)
-                g_lo, g_hi = self._cofactors(g, level)
-                work.append((1, key, level))
-                work.append((0, f_hi, g_hi))
-                work.append((0, f_lo, g_lo))
-            else:
-                key, level = frame[1], frame[2]
-                hi = results.pop()
-                lo = results.pop()
-                result = lo if lo == hi else self._mk(level, lo, hi)
-                cache[key] = result
-                results.append(result)
-        return results[0]
-
     def or_(self, f: int, g: int) -> int:
         """Boolean disjunction: De Morgan over the ``and_`` cache."""
-        if self._explicit_stack:
-            return self._and_iter(f ^ 1, g ^ 1) ^ 1
         return self._and(f ^ 1, g ^ 1) ^ 1
 
     def xor(self, f: int, g: int) -> int:
@@ -627,8 +562,6 @@ class BddManager:
         Operand signs cancel into the result sign (``¬f ⊕ g = ¬(f ⊕ g)``), so
         the cache only ever holds regular operand pairs.
         """
-        if self._explicit_stack:
-            return self._xor_iter(f, g)
         return self._xor(f, g)
 
     def _xor(self, f: int, g: int) -> int:
@@ -668,52 +601,6 @@ class BddManager:
         result = lo if lo == hi else self._mk(level, lo, hi)
         self._xor_cache[key] = result
         return result ^ sign
-
-    def _xor_iter(self, root_f: int, root_g: int) -> int:
-        cache = self._xor_cache
-        results: List[int] = []
-        work: List[Tuple] = [(0, root_f, root_g)]
-        while work:
-            frame = work.pop()
-            if frame[0] == 0:
-                f, g = frame[1], frame[2]
-                sign = (f ^ g) & 1
-                f &= ~1
-                g &= ~1
-                if f == g:
-                    results.append(sign)
-                    continue
-                if f == 0:
-                    results.append(g ^ sign)
-                    continue
-                if g == 0:
-                    results.append(f ^ sign)
-                    continue
-                if f > g:
-                    f, g = g, f
-                key = (f, g)
-                cached = cache.get(key)
-                if cached is not None:
-                    self._hits["xor"] += 1
-                    results.append(cached ^ sign)
-                    continue
-                self._misses["xor"] += 1
-                level_f = self._level[f >> 1]
-                level_g = self._level[g >> 1]
-                level = level_f if level_f < level_g else level_g
-                f_lo, f_hi = self._cofactors(f, level)
-                g_lo, g_hi = self._cofactors(g, level)
-                work.append((1, key, level, sign))
-                work.append((0, f_hi, g_hi))
-                work.append((0, f_lo, g_lo))
-            else:
-                key, level, sign = frame[1], frame[2], frame[3]
-                hi = results.pop()
-                lo = results.pop()
-                result = lo if lo == hi else self._mk(level, lo, hi)
-                cache[key] = result
-                results.append(result ^ sign)
-        return results[0]
 
     # ------------------------------------------------------------------
     # Derived connectives
@@ -771,8 +658,6 @@ class BddManager:
         cube = self.quant_cube(variables)
         if cube is None:
             return f
-        if self._explicit_stack:
-            return self._exists_iter(f, cube)
         return self._exists(f, cube)
 
     def _exists(self, f: int, cube: QuantCube) -> int:
@@ -802,79 +687,11 @@ class BddManager:
         self._exists_cache[key] = result
         return result
 
-    def _exists_iter(self, root: int, cube: QuantCube) -> int:
-        """Explicit-stack existential quantification.
-
-        Frames: ``(0, f)`` evaluate; ``(1, key, hi)`` quantified level after
-        the lo branch (preserves the lo == TRUE short-circuit); ``(2, key)``
-        quantified combine; ``(3, key, level)`` free-level combine.
-        """
-        cache = self._exists_cache
-        results: List[int] = []
-        work: List[Tuple] = [(0, root)]
-        while work:
-            frame = work.pop()
-            tag = frame[0]
-            if tag == 0:
-                f = frame[1]
-                if f <= 1:
-                    results.append(f)
-                    continue
-                index = f >> 1
-                level = self._level[index]
-                if level > cube.last:
-                    results.append(f)
-                    continue
-                key = (f, cube)
-                cached = cache.get(key)
-                if cached is not None:
-                    self._hits["exists"] += 1
-                    results.append(cached)
-                    continue
-                self._misses["exists"] += 1
-                sign = f & 1
-                lo = self._lo[index] ^ sign
-                hi = self._hi[index] ^ sign
-                if level in cube.members:
-                    work.append((1, key, hi))
-                    work.append((0, lo))
-                else:
-                    work.append((3, key, level))
-                    work.append((0, hi))
-                    work.append((0, lo))
-            elif tag == 1:
-                key, hi = frame[1], frame[2]
-                r_lo = results.pop()
-                if r_lo == self.TRUE:
-                    cache[key] = self.TRUE
-                    results.append(self.TRUE)
-                else:
-                    results.append(r_lo)
-                    work.append((2, key))
-                    work.append((0, hi))
-            elif tag == 2:
-                key = frame[1]
-                r_hi = results.pop()
-                r_lo = results.pop()
-                result = self.or_(r_lo, r_hi)
-                cache[key] = result
-                results.append(result)
-            else:
-                key, level = frame[1], frame[2]
-                r_hi = results.pop()
-                r_lo = results.pop()
-                result = self._mk(level, r_lo, r_hi)
-                cache[key] = result
-                results.append(result)
-        return results[0]
-
     def forall(self, f: int, variables: QuantVars) -> int:
         """Universally quantify: the dual of ``exists`` (``¬∃.¬f``)."""
         cube = self.quant_cube(variables)
         if cube is None:
             return f
-        if self._explicit_stack:
-            return self._exists_iter(f ^ 1, cube) ^ 1
         return self._exists(f ^ 1, cube) ^ 1
 
     def and_exists(self, f: int, g: int, variables: QuantVars) -> int:
@@ -882,8 +699,6 @@ class BddManager:
         cube = self.quant_cube(variables)
         if cube is None:
             return self.and_(f, g)
-        if self._explicit_stack:
-            return self._and_exists_iter(f, g, cube)
         return self._and_exists(f, g, cube)
 
     def _and_exists(self, f: int, g: int, cube: QuantCube) -> int:
@@ -925,78 +740,6 @@ class BddManager:
             result = self._mk(level, lo, hi)
         self._and_exists_cache[key] = result
         return result
-
-    def _and_exists_iter(self, root_f: int, root_g: int, cube: QuantCube) -> int:
-        """Explicit-stack relational product (frame scheme of :meth:`_exists_iter`)."""
-        cache = self._and_exists_cache
-        results: List[int] = []
-        work: List[Tuple] = [(0, root_f, root_g)]
-        while work:
-            frame = work.pop()
-            tag = frame[0]
-            if tag == 0:
-                f, g = frame[1], frame[2]
-                if f == 0 or g == 0 or f == g ^ 1:
-                    results.append(0)
-                    continue
-                if f == 1 and g == 1:
-                    results.append(1)
-                    continue
-                if f == 1:
-                    results.append(self._exists_iter(g, cube))
-                    continue
-                if g == 1 or f == g:
-                    results.append(self._exists_iter(f, cube))
-                    continue
-                if f > g:
-                    f, g = g, f
-                level_f = self._level[f >> 1]
-                level_g = self._level[g >> 1]
-                level = level_f if level_f < level_g else level_g
-                if level > cube.last:
-                    results.append(self._and_iter(f, g))
-                    continue
-                key = (f, g, cube)
-                cached = cache.get(key)
-                if cached is not None:
-                    self._hits["and_exists"] += 1
-                    results.append(cached)
-                    continue
-                self._misses["and_exists"] += 1
-                f_lo, f_hi = self._cofactors(f, level)
-                g_lo, g_hi = self._cofactors(g, level)
-                if level in cube.members:
-                    work.append((1, key, f_hi, g_hi))
-                    work.append((0, f_lo, g_lo))
-                else:
-                    work.append((3, key, level))
-                    work.append((0, f_hi, g_hi))
-                    work.append((0, f_lo, g_lo))
-            elif tag == 1:
-                key, f_hi, g_hi = frame[1], frame[2], frame[3]
-                lo = results.pop()
-                if lo == self.TRUE:
-                    cache[key] = self.TRUE
-                    results.append(self.TRUE)
-                else:
-                    results.append(lo)
-                    work.append((2, key))
-                    work.append((0, f_hi, g_hi))
-            elif tag == 2:
-                key = frame[1]
-                hi = results.pop()
-                lo = results.pop()
-                result = self.or_(lo, hi)
-                cache[key] = result
-                results.append(result)
-            else:
-                key, level = frame[1], frame[2]
-                hi = results.pop()
-                lo = results.pop()
-                result = self._mk(level, lo, hi)
-                cache[key] = result
-                results.append(result)
-        return results[0]
 
     def _var_set(self, variables: Iterable[int | str]) -> frozenset:
         indices = set()
@@ -1063,12 +806,8 @@ class BddManager:
             # mapped levels strictly below its parent's mapped level, so the
             # ROBDD invariants survive a direct structural rebuild.
             self._rename_fast += 1
-            if self._explicit_stack:
-                return self._rename_iter(f, rmap, shift=True)
             return self._rename_shift(f, rmap)
         self._rename_slow += 1
-        if self._explicit_stack:
-            return self._rename_iter(f, rmap, shift=False)
         return self._rename_ite(f, rmap)
 
     def _rename_shift(self, f: int, rmap: "_RenameMap") -> int:
@@ -1110,45 +849,6 @@ class BddManager:
         result = self.ite(self.var(target), hi, lo)
         self._rename_cache[key] = result
         return result ^ sign
-
-    def _rename_iter(self, root: int, rmap: "_RenameMap", shift: bool) -> int:
-        """Explicit-stack rename (both the structural shift and ite rebuild)."""
-        cache = self._rename_cache
-        mapping = rmap.mapping
-        results: List[int] = []
-        work: List[Tuple] = [(0, root)]
-        while work:
-            frame = work.pop()
-            if frame[0] == 0:
-                f = frame[1]
-                if f <= 1:
-                    results.append(f)
-                    continue
-                sign = f & 1
-                f ^= sign
-                key = (f, rmap)
-                cached = cache.get(key)
-                if cached is not None:
-                    self._hits["rename"] += 1
-                    results.append(cached ^ sign)
-                    continue
-                self._misses["rename"] += 1
-                index = f >> 1
-                work.append((1, key, sign, self._level[index]))
-                work.append((0, self._hi[index]))
-                work.append((0, self._lo[index]))
-            else:
-                key, sign, level = frame[1], frame[2], frame[3]
-                hi = results.pop()
-                lo = results.pop()
-                target = mapping.get(level, level)
-                if shift:
-                    result = self._mk(target, lo, hi)
-                else:
-                    result = self.ite(self.var(target), hi, lo)
-                cache[key] = result
-                results.append(result ^ sign)
-        return results[0]
 
     def restrict(self, f: int, assignment: Dict[int | str, bool]) -> int:
         """Cofactor ``f`` by fixing the given variables to constants.
@@ -1370,32 +1070,23 @@ class BddManager:
             names = sorted(self._var_names[i] for i in missing)
             raise BddError(f"sat_all variables must cover the support; missing {names}")
 
-        def recurse(edge: int, pos: int, partial: Dict[int, bool]) -> Iterator[Dict[int, bool]]:
+        # Depth-first over positions, False before True, on an explicit
+        # stack: each entry is (position, edge, value of the previous
+        # position), so values[:pos] always holds the current path.
+        values = [False] * len(var_list)
+        stack = [(0, f, False)]
+        while stack:
+            pos, edge, value = stack.pop()
+            if pos:
+                values[pos - 1] = value
             if edge == self.FALSE:
-                return
+                continue
             if pos == len(var_list):
-                yield dict(partial)
-                return
-            index = var_list[pos]
-            level = self._level[edge >> 1] if edge > 1 else self._TERMINAL_LEVEL
-            if level == index:
-                sign = edge & 1
-                node = edge >> 1
-                children = (
-                    (False, self._lo[node] ^ sign),
-                    (True, self._hi[node] ^ sign),
-                )
-                for value, child in children:
-                    partial[index] = value
-                    yield from recurse(child, pos + 1, partial)
-                del partial[index]
-            else:
-                for value in (False, True):
-                    partial[index] = value
-                    yield from recurse(edge, pos + 1, partial)
-                del partial[index]
-
-        yield from recurse(f, 0, {})
+                yield dict(zip(var_list, values))
+                continue
+            lo, hi = self._cofactors(edge, var_list[pos])
+            stack.append((pos + 1, hi, True))
+            stack.append((pos + 1, lo, False))
 
     def cube(self, assignment: Dict[int | str, bool]) -> int:
         """The conjunction of literals described by ``assignment``."""

@@ -43,7 +43,7 @@ import secrets
 from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..errors import NodeBudgetExceeded
+from ..errors import NodeBudgetExceeded, NodeSlotsExhausted
 from . import _vector
 from ._array import EDGE_BITS, LEVEL_SHIFT, MAX_NODE_INDEX, ArrayBddManager
 from .manager import BddError, BddManager
@@ -363,11 +363,7 @@ class SnapshotOverlayManager(ArrayBddManager):
             else:
                 index = len(self._level)
                 if index > MAX_NODE_INDEX:
-                    raise BddError(
-                        f"array store supports at most {MAX_NODE_INDEX} node "
-                        "slots (packed-key bound); construct the manager with "
-                        "store='dict'"
-                    )
+                    raise NodeSlotsExhausted(consumed=index, budget=MAX_NODE_INDEX)
                 self._level.append(level)
                 self._lo.append(lo)
                 self._hi.append(hi)

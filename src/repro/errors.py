@@ -23,6 +23,8 @@ __all__ = [
     "AnalysisTimeout",
     "NodeBudgetExceeded",
     "ExplorationBudgetExceeded",
+    "RecursionDepthExceeded",
+    "NodeSlotsExhausted",
 ]
 
 Number = Union[int, float]
@@ -126,3 +128,39 @@ class ExplorationBudgetExceeded(ResourceExhausted):
     (``"path-edges"`` for Bebop, ``"transitions"`` for Moped,
     ``"configurations"`` for the explicit concurrent engine).
     """
+
+
+class RecursionDepthExceeded(ResourceExhausted):
+    """A BDD kernel recursion overran the interpreter's recursion limit.
+
+    The manager derives the limit from its variable count (see
+    :mod:`repro.bdd.manager`), so this trips only where that limit is capped
+    (CPython 3.10) or was lowered by someone else.  The analysis session
+    turns the raw ``RecursionError`` into this type.
+    """
+
+    resource = "recursion-depth"
+
+
+class NodeSlotsExhausted(ResourceExhausted):
+    """The array node store ran out of packed-key node slots.
+
+    Raised before the new node is stored, so the manager stays releasable.
+    The dict store has no slot bound, and the message says so.
+    """
+
+    resource = "bdd-slots"
+
+    def __init__(
+        self,
+        message: Optional[str] = None,
+        *,
+        consumed: Optional[Number] = None,
+        budget: Optional[Number] = None,
+    ) -> None:
+        if message is None:
+            message = (
+                f"array store supports at most {budget} node slots (packed-key "
+                "bound); construct the manager with store='dict'"
+            )
+        super().__init__(message, consumed=consumed, budget=budget)

@@ -5,9 +5,11 @@ apart without parsing output:
 
 * ``0`` — every query answered NO (target unreachable),
 * ``1`` — at least one query answered YES (target reachable),
-* ``2`` — usage, I/O, parse or static-semantics error (message on stderr),
+* ``2`` — usage, I/O, parse or static-semantics error, or an internal error
+  that persisted through the retry (message on stderr),
 * ``3`` — a resource envelope was exhausted (``--deadline``, ``--node-budget``,
-  ``--max-iterations`` or a ``--shard-timeout``) before an answer was found.
+  ``--max-iterations``, a ``--shard-timeout``, the BDD kernel's recursion
+  depth or the array store's node slots) before an answer was found.
 
 A single file with a single target runs in-process and prints the classic
 one-result summary.  Several files and/or several ``--target`` options form
@@ -288,8 +290,9 @@ def _run_single(
     Transient-failure parity with the batch path: an unexpected exception
     gets one bounded-backoff retry (batches get the same through the pool
     scheduler's rebuild-and-retry rounds), recorded in the result's
-    ``details["retries"]``.  Typed resource exhaustion and user errors are
-    never retried — a deterministic engine will only fail the same way
+    ``details["retries"]``; a failure that persists exits 2 with an
+    ``internal error`` message.  Typed resource exhaustion and user errors
+    are never retried — a deterministic engine will only fail the same way
     twice.
     """
     import time as _time
@@ -334,11 +337,22 @@ def _run_single(
             return EXIT_RESOURCE
         except BoolProgError:
             raise  # user error; main() renders it
-        except Exception:  # noqa: BLE001 — transient failure: retry once
-            if retries >= 1:
-                raise
-            retries += 1
-            _time.sleep(0.05)
+        except Exception as exc:  # noqa: BLE001 — transient failure: retry once
+            if retries < 1:
+                retries += 1
+                _time.sleep(0.05)
+                continue
+            # A persistent crash is never a verdict: exit 2, like a crashed
+            # shard in the batch path.
+            if args.json:
+                body = {"error": str(exc), "type": type(exc).__name__}
+                print(json.dumps(body, indent=2))
+            else:
+                print(
+                    f"getafix: {label}: internal error: {type(exc).__name__}: {exc}",
+                    file=sys.stderr,
+                )
+            return EXIT_ERROR
     if retries:
         result.details["retries"] = retries
     if args.json:

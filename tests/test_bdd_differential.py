@@ -146,16 +146,6 @@ def test_exists_matches_reference(corpus, store):
             assert mgr.eval(node, env) == ref.eval(oracle, env)
 
 
-def test_explicit_stack_build_agrees_with_reference(corpus, store):
-    mgr = BddManager(VAR_NAMES, explicit_stack=True, store=store)
-    ref = ReferenceBdd(VAR_NAMES)
-    for expr in corpus[:60]:
-        node = build(expr, mgr)
-        oracle = build(expr, ref)
-        for env in all_envs():
-            assert mgr.eval(node, env) == ref.eval(oracle, env), expr
-
-
 def test_layouts_agree_edge_for_edge(corpus):
     """The two layouts are not just truth-table equal: identical operation
     sequences produce identical signed edges, counts and stats-visible node

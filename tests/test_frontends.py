@@ -1,9 +1,14 @@
 """Tests for the GETAFIX front end and its command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.baselines import run_bebop, run_moped
 from repro.boolprog import parse_program
 from repro.frontends import build_arg_parser, check_reachability, main, resolve_target
 
@@ -242,19 +247,39 @@ class TestCliSingletonRetry:
         payload = json.loads(capsys.readouterr().out)
         assert payload["details"]["retries"] == 1
 
-    def test_persistent_failure_still_raises(self, tmp_path):
+    def test_persistent_failure_still_raises(self, tmp_path, capsys):
         from repro.testing import FaultPlan, faults
 
         path = tmp_path / "prog.bp"
         path.write_text(POSITIVE)
-        # No once_token: the fault fires on every attempt; after the single
-        # retry the genuine failure propagates (it is a bug, not noise).
+        # No once_token: the fault fires on every attempt.  After the single
+        # retry the failure is reported as an internal error with exit 2 —
+        # never exit 1, which would read as REACHABLE.
         faults.install(FaultPlan(fail_query=str(path)))
         try:
-            with pytest.raises(RuntimeError, match="injected shard failure"):
-                main([str(path), "--target", "main:target"])
+            status = main([str(path), "--target", "main:target"])
         finally:
             faults.clear()
+        captured = capsys.readouterr()
+        assert status == 2
+        assert f"getafix: {path}: internal error: RuntimeError: injected shard failure" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_persistent_failure_json_body(self, tmp_path, capsys):
+        from repro.testing import FaultPlan, faults
+
+        path = tmp_path / "prog.bp"
+        path.write_text(POSITIVE)
+        faults.install(FaultPlan(fail_query=str(path)))
+        try:
+            status = main([str(path), "--target", "main:target", "--json"])
+        finally:
+            faults.clear()
+        assert status == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["type"] == "RuntimeError"
+        assert "injected shard failure" in payload["error"]
 
     def test_resource_exhaustion_is_never_retried(self, tmp_path, capsys):
         # A typed budget trip is deterministic; retrying would double the
@@ -375,3 +400,41 @@ class TestCliBatch:
         assert status == 1
         assert payload["queries_per_solve"] == 1.0
         assert all(row["reused_solve"] is False for row in payload["shards"])
+
+
+class TestWidePrograms:
+    """Programs with thousands of BDD levels run on the recursive kernel."""
+
+    WIDTH = 400
+
+    def _source(self):
+        names = ", ".join(f"g{i}" for i in range(self.WIDTH))
+        return (
+            f"decl {names};\n"
+            "main() begin\n  g0 := *;\n"
+            f"  if (g{self.WIDTH - 1}) then target: skip; fi\nend\n"
+        )
+
+    @pytest.mark.parametrize("store", ["array", "dict"])
+    def test_wide_program_cli_agrees_with_baselines(self, tmp_path, store):
+        source = self._source()
+        path = tmp_path / "wide.bp"
+        path.write_text(source)
+        program = parse_program(source)
+        locations = resolve_target(program, "main:target")
+        # Both explicit baselines call the target unreachable.
+        assert run_bebop(program, locations).reachable is False
+        assert run_moped(program, locations).reachable is False
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), REPRO_BDD_STORE=store)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.frontends.cli", str(path), "--target", "main:target"],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("NO")
+        assert "Traceback" not in proc.stderr

@@ -24,6 +24,8 @@ from repro.errors import (
     AnalysisTimeout,
     ExplorationBudgetExceeded,
     NodeBudgetExceeded,
+    NodeSlotsExhausted,
+    RecursionDepthExceeded,
     ResourceExhausted,
 )
 from repro.fixedpoint.evaluator import EvaluationError
@@ -82,6 +84,8 @@ class TestTypedErrors:
             AnalysisTimeout(consumed=1.0, budget=0.5),
             NodeBudgetExceeded(consumed=10, budget=5),
             ExplorationBudgetExceeded("boom", resource="transitions", consumed=9, budget=8),
+            NodeSlotsExhausted(consumed=17, budget=16),
+            RecursionDepthExceeded("deep", budget=1000),
         ):
             clone = pickle.loads(pickle.dumps(exc))
             assert type(clone) is type(exc)
@@ -558,3 +562,66 @@ class TestCliExitCodes:
         assert status == 1
         out = capsys.readouterr().out
         assert "summary fallback" in out
+
+
+class TestKernelHardLimits:
+    """Node-slot capacity and kernel recursion depth are typed limits too."""
+
+    @pytest.fixture
+    def few_slots(self, monkeypatch):
+        monkeypatch.setattr("repro.bdd._array.MAX_NODE_INDEX", 16)
+        monkeypatch.setenv("REPRO_BDD_STORE", "array")
+
+    @pytest.fixture
+    def recursion_overrun(self, monkeypatch):
+        def overrun(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(BddManager, "and_exists", overrun)
+
+    @pytest.mark.usefixtures("few_slots")
+    def test_slot_overflow_is_typed_and_releasable(self):
+        mgr = BddManager([f"v{i}" for i in range(40)], store="array")
+        with pytest.raises(NodeSlotsExhausted, match="store='dict'") as info:
+            mgr.conjoin(mgr.var(i) for i in range(40))
+        assert info.value.resource == "bdd-slots"
+        assert info.value.budget == 16
+        live = len(mgr)
+        mgr._debug_validate()
+        assert mgr.collect_garbage() == live - 1
+
+    @pytest.mark.usefixtures("few_slots")
+    def test_slot_overflow_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "pos.bp"
+        path.write_text(POSITIVE)
+        assert main([str(path), "--target", "main:target"]) == 3
+        assert "node slots" in capsys.readouterr().err
+
+    @pytest.mark.usefixtures("few_slots")
+    def test_slot_overflow_shard_reports_resource(self):
+        report = run_batch(
+            [BatchQuery(name="p", program=POSITIVE, target="main:target")], jobs=1
+        )
+        (shard,) = report.shards
+        assert shard.status == "resource"
+        assert shard.error_detail["resource"] == "bdd-slots"
+
+    @pytest.mark.usefixtures("recursion_overrun")
+    def test_recursion_error_is_typed_by_the_session(self):
+        with AnalysisSession(POSITIVE) as session:
+            with pytest.raises(RecursionDepthExceeded) as info:
+                session.check("main:target")
+        assert info.value.resource == "recursion-depth"
+        assert isinstance(info.value.__cause__, RecursionError)
+
+    @pytest.mark.usefixtures("recursion_overrun")
+    def test_recursion_error_exits_three_and_shards_report_resource(self, tmp_path, capsys):
+        path = tmp_path / "pos.bp"
+        path.write_text(POSITIVE)
+        assert main([str(path), "--target", "main:target"]) == 3
+        assert "recursion" in capsys.readouterr().err
+        results, _, _ = run_shards(
+            [BatchQuery(name="p", program=POSITIVE, target="main:target")], jobs=1
+        )
+        assert results[0].status == "resource"
+        assert results[0].error_detail["resource"] == "recursion-depth"

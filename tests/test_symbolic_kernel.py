@@ -6,13 +6,15 @@ Covers the pieces the PR's kernel rework touches:
   targets, and the staged-overlap case) against brute-force set semantics,
 * ``and_exists`` vs ``exists(and_(...))`` on randomized BDDs,
 * the order-preserving rename fast path vs the ite rebuild fall-back,
-* the explicit-stack apply option,
+* the recursive kernels over deep variable orders on both stores,
 * static-formula hoisting (compiled plans agree with direct evaluation),
 * cache clearing and statistics plumbing.
 """
 
 import itertools
+import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bdd import BddManager
@@ -152,25 +154,6 @@ class TestAndExistsRandomized:
         g = _random_bdd(mgr, cubes_g)
         assert mgr.and_exists(f, g, qvars) == mgr.exists(mgr.and_(f, g), qvars)
 
-    @settings(max_examples=60, deadline=None)
-    @given(cube_lists, cube_lists, st.sets(st.sampled_from(VAR8)))
-    def test_and_exists_explicit_stack_agrees(self, cubes_f, cubes_g, qvars):
-        recursive = BddManager(VAR8)
-        iterative = BddManager(VAR8, explicit_stack=True)
-        f_r = _random_bdd(recursive, cubes_f)
-        g_r = _random_bdd(recursive, cubes_g)
-        f_i = _random_bdd(iterative, cubes_f)
-        g_i = _random_bdd(iterative, cubes_g)
-        left = recursive.and_exists(f_r, g_r, qvars)
-        right = iterative.and_exists(f_i, g_i, qvars)
-        free = [name for name in VAR8 if name not in qvars]
-        assert recursive.count_sat(left, VAR8) == iterative.count_sat(right, VAR8)
-        # Structural equality across managers is meaningless; compare
-        # semantically on every assignment of the free variables.
-        for values in itertools.product([False, True], repeat=len(free)):
-            env = dict(zip(free, values))
-            assert recursive.eval(left, env) == iterative.eval(right, env)
-
 
 class TestRenameFastPath:
     @settings(max_examples=80, deadline=None)
@@ -213,35 +196,32 @@ class TestRenameFastPath:
             assert mgr.eval(f, env_f) == mgr.eval(g, env_g)
 
 
-class TestExplicitStackApply:
-    @settings(max_examples=80, deadline=None)
-    @given(cube_lists, cube_lists)
-    def test_binary_connectives_agree(self, cubes_f, cubes_g):
-        recursive = BddManager(VAR8)
-        iterative = BddManager(VAR8, explicit_stack=True)
-        for op in ("and_", "or_", "xor"):
-            f_r = _random_bdd(recursive, cubes_f)
-            g_r = _random_bdd(recursive, cubes_g)
-            f_i = _random_bdd(iterative, cubes_f)
-            g_i = _random_bdd(iterative, cubes_g)
-            left = getattr(recursive, op)(f_r, g_r)
-            right = getattr(iterative, op)(f_i, g_i)
-            assert recursive.count_sat(left, VAR8) == iterative.count_sat(right, VAR8)
+@pytest.fixture
+def default_recursion_limit():
+    """Start from the interpreter's default limit and restore it afterwards,
+    so a deep test proves that the manager derives its own limit."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
 
-    def test_explicit_stack_survives_deep_chains(self):
-        # A conjunction chain over many variables; the recursive path would
-        # need ~n stack frames per apply.
-        names = [f"v{i}" for i in range(600)]
-        mgr = BddManager(names, explicit_stack=True)
+
+@pytest.mark.usefixtures("default_recursion_limit")
+@pytest.mark.parametrize("store", ["array", "dict"])
+class TestDeepRecursion:
+    def test_deep_chains(self, store):
+        # Every conjunction walks the whole chain built so far: 1,200 frames.
+        names = [f"v{i}" for i in range(1200)]
+        mgr = BddManager(names, store=store)
         node = mgr.conjoin(mgr.var(name) for name in names)
         assert mgr.count_sat(node, names) == 1
 
-    def test_explicit_stack_survives_deep_ite(self):
-        # A genuinely 3-operand ite spanning ~1500 levels (no 2-operand
-        # delegation applies); the recursive path would blow the stack.
+    def test_deep_ite(self, store):
+        # A genuinely 3-operand ite spanning 1,500 levels (no 2-operand
+        # delegation applies).
         n = 1500
         names = [f"v{i}" for i in range(n)]
-        mgr = BddManager(names, explicit_stack=True)
+        mgr = BddManager(names, store=store)
         evens = mgr.conjoin(mgr.var(f"v{i}") for i in range(0, n, 2))
         odds = mgr.conjoin(mgr.var(f"v{i}") for i in range(1, n, 2))
         node = mgr.ite(mgr.var(f"v{n - 1}"), evens, odds)
@@ -250,12 +230,12 @@ class TestExplicitStackApply:
         env[f"v{n - 1}"] = False
         assert not mgr.eval(node, env)
 
-    def test_explicit_stack_survives_deep_quantify_and_rename(self):
+    def test_deep_quantify_and_rename(self, store):
         # Quantification and both rename paths over a deep order; the
         # order-reversing mapping exercises the ite rebuild fall-back.
-        n = 600
+        n = 1000
         names = [f"a{i}" for i in range(n)] + [f"b{i}" for i in range(n)]
-        mgr = BddManager(names, explicit_stack=True)
+        mgr = BddManager(names, store=store)
         node = mgr.conjoin(mgr.var(f"a{i}") for i in range(n))
         assert mgr.exists(node, [f"a{i}" for i in range(0, n, 2)]) == mgr.conjoin(
             mgr.var(f"a{i}") for i in range(1, n, 2)
@@ -265,6 +245,39 @@ class TestExplicitStackApply:
         assert mgr.count_sat(shifted, [f"b{i}" for i in range(n)]) == 1
         reversed_ = mgr.rename(node, {f"a{i}": f"b{n - 1 - i}" for i in range(n)})
         assert mgr.count_sat(reversed_, [f"b{i}" for i in range(n)]) == 1
+
+    @staticmethod
+    def _chain(mgr, levels):
+        # Bottom-up, so each step is one shallow conjunction.
+        node = mgr.TRUE
+        for level in reversed(levels):
+            node = mgr.and_(mgr.var(level), node)
+        return node
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="CPython 3.10 caps the derived recursion limit at 8,000 frames",
+    )
+    def test_kernels_at_30000_levels(self, store):
+        n = 30_000
+        mgr = BddManager([f"v{i}" for i in range(n)], store=store)
+        every = self._chain(mgr, range(n))
+        # Each of these recurses once through all 30,000 levels.
+        assert mgr.and_(every, mgr.nvar(n - 1)) == mgr.FALSE
+        assert mgr.exists(every, range(0, n, 2)) == self._chain(mgr, range(1, n, 2))
+        assert mgr.count_sat(every) == 1
+
+    def test_sat_all_at_30000_levels(self, store):
+        # sat_all is a loop: a generator recursion this deep overflows the C
+        # stack even on interpreters that run Python calls without it.
+        n = 30_000
+        mgr = BddManager([f"v{i}" for i in range(n)], store=store)
+        (only,) = mgr.sat_all(self._chain(mgr, range(n)), range(n))
+        assert only == dict.fromkeys(range(n), True)
+        free_last = self._chain(mgr, range(n - 1))
+        assignments = list(mgr.sat_all(free_last, range(n)))
+        assert [a[n - 1] for a in assignments] == [False, True]
+        assert all(all(a[i] for i in range(n - 1)) for a in assignments)
 
 
 NODE = EnumSort("Node", 6)
