@@ -150,16 +150,6 @@ class Function:
 
     # -- inspection ------------------------------------------------------
     @property
-    def store(self) -> str:
-        """The node-store layout backing this function's manager.
-
-        ``"array"`` (struct-of-arrays, the default), ``"dict"`` (the
-        fallback layout), or ``"array-snapshot-overlay"`` when the wrapper
-        lives on a shared-memory snapshot attachment.
-        """
-        return str(self.manager.stats()["store"])
-
-    @property
     def is_true(self) -> bool:
         """True iff this is the constant-true function."""
         return self.node == self.manager.TRUE

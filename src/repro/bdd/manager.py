@@ -32,6 +32,25 @@ Complement edges also let several operations share one recursion and cache:
   space of their shared cache, and ``ite`` delegates its two-operand special
   cases to the ``and_``/``xor`` caches.
 
+Node store
+----------
+The node table is a struct of arrays: ``level``/``lo``/``hi`` are flat
+``array('q')`` int64 vectors indexed by node slot, so every child read in a
+hot loop is a contiguous fetch and the table is about five times smaller
+than a list of Python ints.  The unique table and every per-op apply cache
+are keyed on *packed integer keys* (one small int per probe instead of a
+tuple): a node packs ``(level << 48) | (lo << 24) | hi``, and quantifier
+cubes and rename/restrict maps are interned to per-manager integer ``uid``\\ s
+so they pack above the edge field too.  The flat layout is what makes
+vectorised GC marking and ``count_sat`` (:mod:`repro.bdd._vector`, numpy)
+and read-only shared-memory snapshots (:mod:`repro.bdd.snapshot`) possible.
+
+Packed keys bound a manager to ``2**23`` node slots (edges fit 24 bits) and
+``2**15 - 1`` variables (levels fit the remaining key bits).  Crossing either
+bound raises a typed limit before anything is mutated:
+:class:`~repro.errors.NodeSlotsExhausted` from :meth:`BddManager._mk` and
+:class:`~repro.errors.VariableLimitExceeded` from :meth:`BddManager.add_var`.
+
 Garbage collection
 ------------------
 Nodes are reclaimed by an explicit mark-and-sweep collector.  External roots
@@ -39,10 +58,12 @@ are tracked by reference counts (:meth:`ref` / :meth:`deref` — the
 :class:`~repro.bdd.function.Function` wrapper refs its node for its
 lifetime); :meth:`collect_garbage` marks from those roots plus any *extra
 roots* the caller passes (e.g. the fixed-point evaluator's current
-interpretations), frees every unmarked node into a free list for reuse, and
-drops all operation caches so no cache entry can resurrect a dead node.
-Registered GC hooks let consumers (the symbolic backend's plan memos)
-invalidate their own node-keyed caches in the same sweep.
+interpretations) in whole-frontier numpy passes, frees every unmarked node
+into a free list for reuse, trims the trailing run of free slots so capacity
+tracks the live high-water mark, and drops all operation caches so no cache
+entry can resurrect a dead node.  Registered GC hooks let consumers (the
+symbolic backend's plan memos) invalidate their own node-keyed caches in the
+same sweep.
 
 Collection only runs at *safe points*: callers invoke
 :meth:`maybe_collect` (cheap check against a configurable, geometrically
@@ -82,6 +103,7 @@ from __future__ import annotations
 import os
 import sys
 import time
+from array import array
 from typing import (
     Callable,
     Dict,
@@ -94,9 +116,33 @@ from typing import (
     Union,
 )
 
-from ..errors import AnalysisTimeout, NodeBudgetExceeded
+import numpy as np
 
-__all__ = ["BddManager", "BddError", "QuantCube"]
+from ..errors import (
+    AnalysisTimeout,
+    NodeBudgetExceeded,
+    NodeSlotsExhausted,
+    VariableLimitExceeded,
+)
+from . import _vector
+
+__all__ = [
+    "BddManager",
+    "BddError",
+    "QuantCube",
+    "EDGE_BITS",
+    "MAX_NODE_INDEX",
+    "MAX_LEVEL",
+]
+
+#: Signed edges are packed into 24-bit fields: node index < 2**23.
+EDGE_BITS = 24
+#: Highest representable node index (23-bit index, sign bit makes 24).
+MAX_NODE_INDEX = (1 << (EDGE_BITS - 1)) - 1
+#: Unique keys pack ``(level << 48) | (lo << 24) | hi`` into an int64.
+LEVEL_SHIFT = 2 * EDGE_BITS
+#: Levels must fit the remaining 15 key bits of a non-negative int64.
+MAX_LEVEL = (1 << 15) - 1
 
 #: Frames reserved above the kernels for their callers (session, evaluator,
 #: test harness); the interpreter's default limit.
@@ -117,9 +163,9 @@ class QuantCube:
     ``levels`` is the sorted tuple of variable indices, ``members`` a set for
     O(1) membership tests, and ``last`` the deepest (largest) quantified
     level — the point below which quantification is the identity.  Cubes are
-    interned per manager (see :meth:`BddManager.quant_cube`), so identity
-    comparison and the default object hash make them cheap cache-key
-    components.  The constructor normalises (sorts, dedups) its input and
+    interned per manager (see :meth:`BddManager.quant_cube`), which gives
+    each one a small integer ``uid`` that packs into the integer cache
+    keys.  The constructor normalises (sorts, dedups) its input and
     rejects empty sets, so a hand-built cube behaves like an interned one.
     """
 
@@ -132,9 +178,8 @@ class QuantCube:
         self.levels = ordered
         self.members = set(ordered)
         self.last = ordered[-1]
-        # Small per-manager integer assigned at intern time by the array
-        # store, where it packs into integer cache keys.  The dict store
-        # never reads it.
+        # Small per-manager integer assigned at intern time; it packs into
+        # the integer cache keys.
         self.uid: Optional[int] = None
 
     def __repr__(self) -> str:
@@ -171,15 +216,6 @@ class BddManager:
         Optional cap on the summed size of the operation caches; when a
         :meth:`maybe_collect` safe point finds the caches larger, they are
         dropped even if no node collection runs.
-    store:
-        Node-store layout: ``"array"`` (default) selects the struct-of-arrays
-        store (flat ``array('q')`` node vectors, packed-integer cache keys,
-        vectorised GC sweep and ``count_sat``, shared-memory snapshot
-        support); ``"dict"`` selects the original list-and-tuple store as
-        the sequential fallback.  ``None`` consults the ``REPRO_BDD_STORE``
-        environment variable before defaulting to ``"array"``.  Both layouts
-        are behaviourally identical behind the signed-edge API (the
-        differential suite is parametrised over both).
     debug_checks:
         Kernel sanitizer.  When True, :meth:`_debug_validate` runs at every
         GC safe point (each :meth:`maybe_collect` call and the end of each
@@ -196,22 +232,6 @@ class BddManager:
     FALSE = 0
     TRUE = 1
 
-    #: Node-store layout name, reported by :meth:`stats`.
-    STORE = "dict"
-
-    def __new__(cls, *args, **kwargs):
-        if cls is BddManager:
-            choice = kwargs.get("store")
-            if choice is None:
-                choice = os.environ.get("REPRO_BDD_STORE") or "array"
-            if choice == "array":
-                from ._array import ArrayBddManager
-
-                cls = ArrayBddManager
-            elif choice != "dict":
-                raise BddError(f"unknown node store {choice!r} (use 'array' or 'dict')")
-        return object.__new__(cls)
-
     #: Sentinel level used for the terminal node; greater than any variable.
     _TERMINAL_LEVEL = 1 << 60
     #: Sentinel level marking a reclaimed (free-listed) node slot.
@@ -224,34 +244,32 @@ class BddManager:
         gc_threshold: int = 65_536,
         gc_growth: float = 2.0,
         cache_limit: Optional[int] = None,
-        store: Optional[str] = None,
         debug_checks: Optional[bool] = None,
     ) -> None:
-        # ``store`` is consumed by :meth:`__new__` (layout dispatch); it is
-        # accepted here so both layouts share one constructor signature.
-        if store is not None and store not in ("array", "dict"):
-            raise BddError(f"unknown node store {store!r} (use 'array' or 'dict')")
         if debug_checks is None:
             debug_checks = os.environ.get("REPRO_DEBUG_CHECKS", "") not in ("", "0")
         self._debug_checks = bool(debug_checks)
-        # Parallel node arrays.  Index 0 is the sole terminal; a signed edge
-        # is (index << 1) | complement, so FALSE = 0 and TRUE = 1.
-        self._level: List[int] = [self._TERMINAL_LEVEL]
-        self._lo: List[int] = [0]
-        self._hi: List[int] = [0]
-        # Unique table: (level, lo_edge, hi_edge) -> node index.
-        self._unique: Dict[Tuple[int, int, int], int] = {}
+        # Flat int64 node vectors.  Index 0 is the sole terminal; a signed
+        # edge is (index << 1) | complement, so FALSE = 0 and TRUE = 1.
+        self._level = array("q", [self._TERMINAL_LEVEL])
+        self._lo = array("q", [0])
+        self._hi = array("q", [0])
+        # Unique table: packed (level, lo_edge, hi_edge) key -> node index.
+        self._unique: Dict[int, int] = {}
         # Operation caches, one per operation family so one workload cannot
-        # evict another's entries and keys stay small.  `or` rides the `and`
-        # cache (De Morgan), `iff` rides `xor`, `forall` rides `exists`.
-        self._and_cache: Dict[Tuple[int, int], int] = {}
-        self._xor_cache: Dict[Tuple[int, int], int] = {}
-        self._ite_cache: Dict[Tuple[int, int, int], int] = {}
-        self._exists_cache: Dict[Tuple[int, QuantCube], int] = {}
-        self._and_exists_cache: Dict[Tuple[int, int, QuantCube], int] = {}
-        self._rename_cache: Dict[Tuple[int, "_RenameMap"], int] = {}
-        self._restrict_cache: Dict[Tuple[int, "_RenameMap"], int] = {}
-        # Interning tables for quantifier cubes and rename/restrict maps.
+        # evict another's entries.  Keys are packed ints (see the writers).
+        # `or` rides the `and` cache (De Morgan), `iff` rides `xor`, `forall`
+        # rides `exists`.
+        self._and_cache: Dict[int, int] = {}
+        self._xor_cache: Dict[int, int] = {}
+        self._ite_cache: Dict[int, int] = {}
+        self._exists_cache: Dict[int, int] = {}
+        self._and_exists_cache: Dict[int, int] = {}
+        self._rename_cache: Dict[int, int] = {}
+        self._restrict_cache: Dict[int, int] = {}
+        # Interning tables for quantifier cubes and rename/restrict maps;
+        # each interned object gets the next uid for the packed cache keys.
+        self._next_uid = 0
         self._cube_table: Dict[Tuple[int, ...], QuantCube] = {}
         self._rename_table: Dict[Tuple[Tuple[int, int], ...], "_RenameMap"] = {}
         self._restrict_table: Dict[Tuple[Tuple[int, bool], ...], "_RenameMap"] = {}
@@ -301,6 +319,8 @@ class BddManager:
         if name in self._name_to_var:
             raise BddError(f"variable {name!r} already declared")
         index = len(self._var_names)
+        if index >= MAX_LEVEL:
+            raise VariableLimitExceeded(consumed=index + 1, budget=MAX_LEVEL)
         self._var_names.append(name)
         self._name_to_var[name] = index
         # Two frames per level bound the deepest kernel nesting (see the
@@ -359,7 +379,7 @@ class BddManager:
         if sign:
             lo ^= 1
             hi ^= 1
-        key = (level, lo, hi)
+        key = (level << LEVEL_SHIFT) | (lo << EDGE_BITS) | hi
         index = self._unique.get(key)
         if index is None:
             free = self._free
@@ -370,6 +390,8 @@ class BddManager:
                 self._hi[index] = hi
             else:
                 index = len(self._level)
+                if index > MAX_NODE_INDEX:
+                    raise NodeSlotsExhausted(consumed=index, budget=MAX_NODE_INDEX)
                 self._level.append(level)
                 self._lo.append(lo)
                 self._hi.append(hi)
@@ -379,7 +401,9 @@ class BddManager:
                 self._peak_live = self._live
             # Apply-loop checkpoints: every allocation is a consistent point
             # (the new node is valid, caches untouched), so raising here
-            # leaves the manager releasable.
+            # leaves the manager releasable.  The budget counts *live* nodes
+            # (free-listed slots excluded, the sweep trims the tail), never
+            # table capacity.
             if self._node_budget is not None and self._live > self._node_budget:
                 raise NodeBudgetExceeded(consumed=self._live, budget=self._node_budget)
             if self._deadline is not None:
@@ -485,7 +509,7 @@ class BddManager:
         if triple is None:
             return done
         f, g, h, sign = triple
-        key = (f, g, h)
+        key = (((f << EDGE_BITS) | g) << EDGE_BITS) | h
         cached = self._ite_cache.get(key)
         if cached is not None:
             self._hits["ite"] += 1
@@ -522,7 +546,7 @@ class BddManager:
         # Canonicalise the operand order: conjunction is commutative.
         if f > g:
             f, g = g, f
-        key = (f, g)
+        key = (f << EDGE_BITS) | g
         cached = self._and_cache.get(key)
         if cached is not None:
             self._hits["and"] += 1
@@ -576,7 +600,7 @@ class BddManager:
             return f ^ sign
         if f > g:
             f, g = g, f
-        key = (f, g)
+        key = (f << EDGE_BITS) | g
         cached = self._xor_cache.get(key)
         if cached is not None:
             self._hits["xor"] += 1
@@ -643,13 +667,21 @@ class BddManager:
         :meth:`forall` / :meth:`and_exists` directly.
         """
         if isinstance(variables, QuantCube):
-            return variables
-        levels = tuple(sorted(self._var_set(variables)))
-        if not levels:
-            return None
+            levels = variables.levels
+        else:
+            levels = tuple(sorted(self._var_set(variables)))
+            if not levels:
+                return None
         cube = self._cube_table.get(levels)
         if cube is None:
-            cube = QuantCube(levels)
+            # A hand-built cube whose uid another manager already assigned
+            # must not be adopted — uids are manager-local key components.
+            if isinstance(variables, QuantCube) and variables.uid is None:
+                cube = variables
+            else:
+                cube = QuantCube(levels)
+            cube.uid = self._next_uid
+            self._next_uid += 1
             self._cube_table[levels] = cube
         return cube
 
@@ -667,7 +699,7 @@ class BddManager:
         level = self._level[index]
         if level > cube.last:
             return f
-        key = (f, cube)
+        key = (cube.uid << EDGE_BITS) | f
         cached = self._exists_cache.get(key)
         if cached is not None:
             self._hits["exists"] += 1
@@ -719,7 +751,7 @@ class BddManager:
         if level > cube.last:
             # No quantified variable can appear below this point.
             return self._and(f, g)
-        key = (f, g, cube)
+        key = (((cube.uid << EDGE_BITS) | f) << EDGE_BITS) | g
         cached = self._and_exists_cache.get(key)
         if cached is not None:
             self._hits["and_exists"] += 1
@@ -784,7 +816,7 @@ class BddManager:
         intern_key = tuple(sorted(normalised.items()))
         rmap = self._rename_table.get(intern_key)
         if rmap is not None:
-            cached = self._rename_cache.get((f & ~1, rmap))
+            cached = self._rename_cache.get((rmap.uid << EDGE_BITS) | (f & ~1))
             if cached is not None:
                 self._hits["rename"] += 1
                 return cached ^ (f & 1)
@@ -798,6 +830,8 @@ class BddManager:
             raise BddError(f"rename targets already in support: {names}")
         if rmap is None:
             rmap = _RenameMap(dict(normalised))
+            rmap.uid = self._next_uid
+            self._next_uid += 1
             self._rename_table[intern_key] = rmap
         ordered = sorted(support)
         mapped = [normalised.get(levels, levels) for levels in ordered]
@@ -815,7 +849,7 @@ class BddManager:
             return f
         sign = f & 1
         f ^= sign
-        key = (f, rmap)
+        key = (rmap.uid << EDGE_BITS) | f
         cached = self._rename_cache.get(key)
         if cached is not None:
             self._hits["rename"] += 1
@@ -835,7 +869,7 @@ class BddManager:
             return f
         sign = f & 1
         f ^= sign
-        key = (f, rmap)
+        key = (rmap.uid << EDGE_BITS) | f
         cached = self._rename_cache.get(key)
         if cached is not None:
             self._hits["rename"] += 1
@@ -869,6 +903,8 @@ class BddManager:
         fmap = self._restrict_table.get(key)
         if fmap is None:
             fmap = _RenameMap(fixed)
+            fmap.uid = self._next_uid
+            self._next_uid += 1
             self._restrict_table[key] = fmap
         return self._restrict(f, fmap)
 
@@ -877,7 +913,7 @@ class BddManager:
             return f
         sign = f & 1
         f ^= sign
-        key = (f, fmap)
+        key = (fmap.uid << EDGE_BITS) | f
         cached = self._restrict_cache.get(key)
         if cached is not None:
             self._hits["restrict"] += 1
@@ -965,6 +1001,10 @@ class BddManager:
         """Number of satisfying assignments of ``f`` over ``variables``.
 
         When ``variables`` is omitted, all declared variables are used.
+        Counting is a vectorised bottom-up pass over the flat node vectors
+        (:func:`repro.bdd._vector.count_sat_vector`); counts over more than
+        ``MAX_VECTOR_COUNT_LEVELS`` variables would overflow its int64
+        lanes, so they take an exact big-int memoised recursion instead.
         """
         if variables is None:
             var_set = frozenset(range(len(self._var_names)))
@@ -975,6 +1015,35 @@ class BddManager:
                 names = sorted(self._var_names[i] for i in missing)
                 raise BddError(f"count_sat variables must cover the support; missing {names}")
         order = sorted(var_set)
+        total_levels = len(order)
+        if f <= 1:
+            return (1 << total_levels) if f else 0
+        if total_levels <= _vector.MAX_VECTOR_COUNT_LEVELS:
+            vectors = self._count_vectors(f)
+            if vectors is not None:
+                pos_of = np.full(max(len(self._var_names), 1), -1, dtype=np.int64)
+                pos_of[order] = np.arange(total_levels)
+                try:
+                    return _vector.count_sat_vector(*vectors, f, pos_of, total_levels)
+                finally:
+                    del vectors
+        return self._count_sat_exact(f, order)
+
+    def _count_vectors(self, f: int):
+        """int64 ``(level, lo, hi)`` views that ``count_sat`` may scan for ``f``.
+
+        The views alias the live node buffers, which cannot be resized while
+        a view exists, so the caller drops them as soon as it has counted.
+        ``None`` sends the count to the exact recursion instead.
+        """
+        return (
+            _vector.int64_view(self._level),
+            _vector.int64_view(self._lo),
+            _vector.int64_view(self._hi),
+        )
+
+    def _count_sat_exact(self, f: int, order: List[int]) -> int:
+        """Big-int memoised ``count_sat`` recursion over the sorted ``order``."""
         position = {index: pos for pos, index in enumerate(order)}
         total_levels = len(order)
         below_cache: Dict[Tuple[int, int], int] = {}
@@ -1036,7 +1105,7 @@ class BddManager:
         realises on signed edges).  Variables in ``variables`` but outside the
         support are filled with ``False``.  Because the walk only consults the
         canonical ``(level, lo, hi)`` node data, the picked cube is identical
-        on the dict store, the array store and a snapshot overlay.
+        on a manager and on a snapshot overlay of its frozen table.
 
         When ``variables`` is omitted the cube is total over the support.
         Returns ``None`` iff ``f`` is unsatisfiable.
@@ -1214,49 +1283,78 @@ class BddManager:
 
         Live nodes are those reachable from externally referenced nodes
         (:meth:`ref`) or from ``roots`` (extra edges the caller knows to be
-        live, e.g. the evaluator's current interpretations).  Reclaimed slots
-        go to a free list and are reused by :meth:`_mk`; all operation caches
-        are dropped (their keys and values may mention dead edges) and GC
-        hooks run so consumers drop node-keyed caches of their own.
+        live, e.g. the evaluator's current interpretations).  Marking and the
+        unique-table update are vectorised over the flat node vectors.
+        Reclaimed slots go to a free list and are reused by :meth:`_mk`, the
+        trailing run of free slots is trimmed, all operation caches are
+        dropped (their keys and values may mention dead edges) and GC hooks
+        run so consumers drop node-keyed caches of their own.
         """
-        marked = bytearray(len(self._level))
-        marked[0] = 1
         # Snapshot the root set: a Function finaliser running off a cyclic-GC
         # pass triggered by an allocation below may deref (mutate _extref)
         # mid-collection.  Every stored count is > 0 by construction.
-        stack: List[int] = list(self._extref)
+        root_indices: List[int] = list(self._extref)
         for edge in roots:
-            stack.append(edge >> 1)
-        level = self._level
-        lo = self._lo
-        hi = self._hi
-        while stack:
-            index = stack.pop()
-            if marked[index]:
-                continue
-            marked[index] = 1
-            stack.append(lo[index] >> 1)
-            stack.append(hi[index] >> 1)
-        reclaimed = 0
-        free_level = self._FREE_LEVEL
-        for index in range(1, len(level)):
-            if marked[index] or level[index] == free_level:
-                continue
-            del self._unique[(level[index], lo[index], hi[index])]
-            level[index] = free_level
-            lo[index] = 0
-            hi[index] = 0
-            self._free.append(index)
-            reclaimed += 1
+            root_indices.append(edge >> 1)
+        level_v = _vector.int64_view(self._level)
+        lo_v = _vector.int64_view(self._lo)
+        hi_v = _vector.int64_view(self._hi)
+        mask = _vector.reachable_mask(level_v, lo_v, hi_v, root_indices)
+        mask[0] = True
+        dead = ~mask & (level_v != self._FREE_LEVEL)
+        dead_idx = np.nonzero(dead)[0]
+        reclaimed = int(dead_idx.size)
         self._gc_collections += 1
-        if reclaimed:
-            self._live -= reclaimed
-            self._gc_reclaimed += reclaimed
-            # Cache entries may point into reclaimed slots; drop them all so
-            # a future lookup can never resurrect a dead node.
-            self._drop_op_caches()
-            for hook in self._gc_hooks:
-                hook()
+        if not reclaimed:
+            del level_v, lo_v, hi_v
+            if self._debug_checks:
+                self._debug_validate()
+            return 0
+        # Unique-table update: delete the dead keys one by one when few are
+        # dead, rebuild the whole table from the live slots (one vectorised
+        # key computation) when a sweep kills most of it.
+        if reclaimed * 2 >= len(self._unique):
+            live_idx = np.nonzero(mask)[0]
+            live_idx = live_idx[live_idx != 0]
+            keys = (
+                (level_v[live_idx] << LEVEL_SHIFT)
+                | (lo_v[live_idx] << EDGE_BITS)
+                | hi_v[live_idx]
+            )
+            self._unique = dict(zip(keys.tolist(), live_idx.tolist()))
+        else:
+            unique = self._unique
+            keys = (
+                (level_v[dead_idx] << LEVEL_SHIFT)
+                | (lo_v[dead_idx] << EDGE_BITS)
+                | hi_v[dead_idx]
+            )
+            for key in keys.tolist():
+                del unique[key]
+        level_v[dead_idx] = self._FREE_LEVEL
+        lo_v[dead_idx] = 0
+        hi_v[dead_idx] = 0
+        # Compaction: trim the trailing run of free slots so capacity tracks
+        # the live high-water mark; the free list is rebuilt descending so
+        # `pop()` hands out the lowest index first (dense reuse).
+        last_live = int(np.nonzero(mask)[0].max())
+        free_idx = np.nonzero(~mask)[0]
+        trim = len(self._level) - (last_live + 1)
+        if trim > 0:
+            free_idx = free_idx[free_idx <= last_live]
+        self._free = free_idx[::-1].tolist()
+        # Views pin the array buffers against resizing — drop every one of
+        # them before the tail trim mutates the arrays.
+        del level_v, lo_v, hi_v, mask, dead, dead_idx, free_idx, keys
+        if trim > 0:
+            del self._level[last_live + 1 :]
+            del self._lo[last_live + 1 :]
+            del self._hi[last_live + 1 :]
+        self._live -= reclaimed
+        self._gc_reclaimed += reclaimed
+        self._drop_op_caches()
+        for hook in self._gc_hooks:
+            hook()
         if self._debug_checks:
             self._debug_validate()
         return reclaimed
@@ -1320,41 +1418,49 @@ class BddManager:
     # ------------------------------------------------------------------
     # Kernel sanitizer (debug_checks)
     # ------------------------------------------------------------------
-    def _unique_key(self, index: int):
-        """The unique-table key the node at ``index`` must be filed under."""
-        return (self._level[index], self._lo[index], self._hi[index])
+    def _unique_key(self, index: int) -> int:
+        """The packed unique-table key the node at ``index`` must be filed under."""
+        return (
+            (self._level[index] << LEVEL_SHIFT)
+            | (self._lo[index] << EDGE_BITS)
+            | self._hi[index]
+        )
 
     def _debug_cache_edges(self) -> Iterator[Tuple[str, int]]:
         """Yield every signed edge mentioned by an operation-cache entry.
 
-        The array store overrides this with its packed-key decoders; the
-        sanitizer only needs the edges, not the full keys.
+        Decodes the packed keys exactly as the cache writers encode them:
+        ``and``/``xor`` pack ``(f << 24) | g``, ``ite`` packs the operand
+        triple, the quantifier and rename/restrict caches pack the interned
+        object's uid above the edge field.  The sanitizer only needs the
+        edges, not the full keys.
         """
-        for (f, g), result in self._and_cache.items():
-            yield "and", f
-            yield "and", g
+        mask = (1 << EDGE_BITS) - 1
+        for key, result in self._and_cache.items():
+            yield "and", key >> EDGE_BITS
+            yield "and", key & mask
             yield "and", result
-        for (f, g), result in self._xor_cache.items():
-            yield "xor", f
-            yield "xor", g
+        for key, result in self._xor_cache.items():
+            yield "xor", key >> EDGE_BITS
+            yield "xor", key & mask
             yield "xor", result
-        for (f, g, h), result in self._ite_cache.items():
-            yield "ite", f
-            yield "ite", g
-            yield "ite", h
+        for key, result in self._ite_cache.items():
+            yield "ite", key >> (2 * EDGE_BITS)
+            yield "ite", (key >> EDGE_BITS) & mask
+            yield "ite", key & mask
             yield "ite", result
-        for (f, _cube), result in self._exists_cache.items():
-            yield "exists", f
+        for key, result in self._exists_cache.items():
+            yield "exists", key & mask
             yield "exists", result
-        for (f, g, _cube), result in self._and_exists_cache.items():
-            yield "and_exists", f
-            yield "and_exists", g
+        for key, result in self._and_exists_cache.items():
+            yield "and_exists", (key >> EDGE_BITS) & mask
+            yield "and_exists", key & mask
             yield "and_exists", result
-        for (f, _rmap), result in self._rename_cache.items():
-            yield "rename", f
+        for key, result in self._rename_cache.items():
+            yield "rename", key & mask
             yield "rename", result
-        for (f, _fmap), result in self._restrict_cache.items():
-            yield "restrict", f
+        for key, result in self._restrict_cache.items():
+            yield "restrict", key & mask
             yield "restrict", result
 
     def _debug_validate(self) -> None:
@@ -1512,7 +1618,6 @@ class BddManager:
             "restrict": len(self._restrict_cache),
         }
         return {
-            "store": self.STORE,
             "nodes": self._live,
             "peak_nodes": self._peak_live,
             "capacity": len(self._level),
@@ -1552,18 +1657,18 @@ class BddManager:
 
 
 class _RenameMap:
-    """An interned variable mapping (identity-hashed cache key).
+    """An interned variable mapping.
 
     Used both for rename maps (level -> level) and restrict assignments
-    (level -> bool); interning makes the map a cheap cross-call cache-key
-    component.
+    (level -> bool); interning gives the map a ``uid`` that packs into the
+    cross-call cache keys.
     """
 
     __slots__ = ("mapping", "uid")
 
     def __init__(self, mapping: Dict[int, int]) -> None:
         self.mapping = mapping
-        # Assigned at intern time by the array store (packed cache keys).
+        # Assigned at intern time (packed cache keys).
         self.uid: Optional[int] = None
 
     def __repr__(self) -> str:

@@ -1,13 +1,13 @@
 """Read-only shared-memory snapshots of solved BDD node tables.
 
-The struct-of-arrays store (:class:`repro.bdd._array.ArrayBddManager`) keeps
-its node table in three flat int64 vectors, which makes a *snapshot* a plain
-``memcpy``: :func:`freeze` copies the (GC-compacted) vectors plus a frozen
-open-addressing image of the unique table into a named
-:mod:`multiprocessing.shared_memory` segment.  Other processes attach
-**copy-free** — the segment is mapped, never deserialised — and run query
-post-passes (``check`` / ``check_all`` / ``count_sat``) against the solved
-table through a :class:`SnapshotOverlayManager`.
+:class:`repro.bdd.manager.BddManager` keeps its node table in three flat
+int64 vectors, which makes a *snapshot* a plain ``memcpy``: :func:`freeze`
+copies the (GC-compacted) vectors plus a frozen open-addressing image of the
+unique table into a named :mod:`multiprocessing.shared_memory` segment.
+Other processes attach **copy-free** — the segment is mapped, never
+deserialised — and run query post-passes (``check`` / ``check_all`` /
+``count_sat``) against the solved table through a
+:class:`SnapshotOverlayManager`.
 
 Why an overlay and not a bare read-only view: a query post-pass still
 *allocates* (the Target template and the query plan's intermediate BDDs are
@@ -43,10 +43,10 @@ import secrets
 from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import NodeBudgetExceeded, NodeSlotsExhausted
-from . import _vector
-from ._array import EDGE_BITS, LEVEL_SHIFT, MAX_NODE_INDEX, ArrayBddManager
-from .manager import BddError, BddManager
+from .manager import EDGE_BITS, LEVEL_SHIFT, MAX_NODE_INDEX, BddError, BddManager
 
 __all__ = [
     "SEGMENT_PREFIX",
@@ -84,17 +84,14 @@ def segment_name() -> str:
 def freeze(manager: BddManager, name: Optional[str] = None) -> str:
     """Copy a manager's node table into a new shared-memory segment.
 
-    The manager must use the array store and should be GC-swept first so
-    the frozen image is compact (``AnalysisSession.freeze`` does both).
+    The manager should be GC-swept first so the frozen image is compact
+    (``AnalysisSession.freeze`` does that).  A snapshot overlay cannot be
+    frozen: its nodes live in two segments.
     Returns the segment name.  The calling process keeps the
     resource-tracker registration (crash-safety) until :func:`disown`.
     """
     from multiprocessing import shared_memory
 
-    if not isinstance(manager, ArrayBddManager):
-        raise BddError(
-            f"snapshots need the array node store (manager uses {manager.STORE!r})"
-        )
     if isinstance(manager, SnapshotOverlayManager):
         raise BddError("cannot freeze a snapshot overlay manager")
     capacity = len(manager._level)
@@ -204,7 +201,7 @@ class SnapshotView:
     """A copy-free attachment to a frozen node table.
 
     Exposes the three node vectors as read-only int64 memoryviews (plus
-    numpy aliases when numpy is available), the frozen unique-table probe,
+    numpy aliases for the vectorised count), the frozen unique-table probe,
     and the metadata needed to rebuild a manager around the image.  Views
     only ever ``close()``; they never unlink (see the module docstring).
     """
@@ -245,13 +242,9 @@ class SnapshotView:
         self.hi = span(off + 2 * cap_b, cap_b)
         self._keys = span(off + 3 * cap_b, tab_b)
         self._vals = span(off + 3 * cap_b + tab_b, tab_b)
-        self.level_np = self.lo_np = self.hi_np = None
-        if _vector.HAVE_NUMPY:
-            import numpy as np
-
-            self.level_np = np.frombuffer(self.level, dtype=np.int64)
-            self.lo_np = np.frombuffer(self.lo, dtype=np.int64)
-            self.hi_np = np.frombuffer(self.hi, dtype=np.int64)
+        self.level_np = np.frombuffer(self.level, dtype=np.int64)
+        self.lo_np = np.frombuffer(self.lo, dtype=np.int64)
+        self.hi_np = np.frombuffer(self.hi, dtype=np.int64)
         self._closed = False
 
     def lookup(self, key: int) -> Optional[int]:
@@ -314,7 +307,7 @@ class _ChainVec:
         self.tail.append(value)
 
 
-class SnapshotOverlayManager(ArrayBddManager):
+class SnapshotOverlayManager(BddManager):
     """An allocation-capable manager over a frozen base table.
 
     Shares the base's node index space (indices below ``view.capacity`` are
@@ -422,7 +415,7 @@ class SnapshotOverlayManager(ArrayBddManager):
         if reclaimed:
             self._live -= reclaimed
             self._gc_reclaimed += reclaimed
-            self._trim_tail_scalar()
+            self._trim_tail()
             self._drop_op_caches()
             for hook in self._gc_hooks:
                 hook()
@@ -430,7 +423,7 @@ class SnapshotOverlayManager(ArrayBddManager):
             self._debug_validate()
         return reclaimed
 
-    def _trim_tail_scalar(self) -> None:
+    def _trim_tail(self) -> None:
         tail = self._level.tail
         last = len(tail) - 1
         free_level = self._FREE_LEVEL
@@ -548,43 +541,14 @@ class SnapshotOverlayManager(ArrayBddManager):
                 raise BddError(f"sanitizer: {op} cache mentions dead edge {edge}")
 
     # -- vectorised counting over the frozen image -----------------------
-    def count_sat(self, f: int, variables: Optional[Iterable[int | str]] = None) -> int:
+    def _count_vectors(self, f: int):
+        # Frozen roots are closed over frozen nodes, so the vectorised
+        # bottom-up pass runs directly on the shared image; tail-rooted
+        # counts walk the chain vectors with the exact recursion.
         view = self._view
-        if (
-            f > 1
-            and (f >> 1) < self._base_len
-            and view.level_np is not None
-            and not self._closed_view()
-        ):
-            # Frozen roots are closed over frozen nodes, so the vectorised
-            # bottom-up pass can run directly on the shared image.
-            if variables is None:
-                var_set = frozenset(range(len(self._var_names)))
-            else:
-                var_set = self._var_set(variables)
-                missing = self.support(f) - var_set
-                if missing:
-                    names = sorted(self._var_names[i] for i in missing)
-                    raise BddError(
-                        f"count_sat variables must cover the support; missing {names}"
-                    )
-            order = sorted(var_set)
-            total_levels = len(order)
-            if total_levels <= _vector.MAX_VECTOR_COUNT_LEVELS:
-                import numpy as np
-
-                pos_of = np.full(max(len(self._var_names), 1), -1, dtype=np.int64)
-                for pos, lvl in enumerate(order):
-                    pos_of[lvl] = pos
-                return _vector.count_sat_vector(
-                    view.level_np, view.lo_np, view.hi_np, f, pos_of, total_levels
-                )
-        # Tail-rooted (or numpy-less) counts walk the chain vector with the
-        # dict store's exact memoised recursion.
-        return BddManager.count_sat(self, f, variables)
-
-    def _closed_view(self) -> bool:
-        return getattr(self._view, "_closed", True)
+        if (f >> 1) < self._base_len and not view._closed:
+            return view.level_np, view.lo_np, view.hi_np
+        return None
 
     # -- lifecycle / stats -----------------------------------------------
     def detach(self) -> None:
@@ -593,7 +557,6 @@ class SnapshotOverlayManager(ArrayBddManager):
 
     def stats(self) -> Dict[str, object]:
         data = super().stats()
-        data["store"] = "array-snapshot-overlay"
         data["snapshot"] = {
             "segment": self._view.name,
             "base_capacity": self._base_len,

@@ -25,6 +25,7 @@ __all__ = [
     "ExplorationBudgetExceeded",
     "RecursionDepthExceeded",
     "NodeSlotsExhausted",
+    "VariableLimitExceeded",
 ]
 
 Number = Union[int, float]
@@ -143,10 +144,9 @@ class RecursionDepthExceeded(ResourceExhausted):
 
 
 class NodeSlotsExhausted(ResourceExhausted):
-    """The array node store ran out of packed-key node slots.
+    """The BDD node table ran out of packed-key node slots (``2**23``).
 
     Raised before the new node is stored, so the manager stays releasable.
-    The dict store has no slot bound, and the message says so.
     """
 
     resource = "bdd-slots"
@@ -160,7 +160,31 @@ class NodeSlotsExhausted(ResourceExhausted):
     ) -> None:
         if message is None:
             message = (
-                f"array store supports at most {budget} node slots (packed-key "
-                "bound); construct the manager with store='dict'"
+                f"BDD node table supports at most {budget} node slots "
+                "(packed-key bound)"
+            )
+        super().__init__(message, consumed=consumed, budget=budget)
+
+
+class VariableLimitExceeded(ResourceExhausted):
+    """The BDD manager ran out of packed-key variable levels (``2**15 - 1``).
+
+    Raised by ``add_var`` before the variable is declared, so the manager
+    stays releasable.
+    """
+
+    resource = "bdd-vars"
+
+    def __init__(
+        self,
+        message: Optional[str] = None,
+        *,
+        consumed: Optional[Number] = None,
+        budget: Optional[Number] = None,
+    ) -> None:
+        if message is None:
+            message = (
+                f"BDD manager supports at most {budget} variables "
+                "(packed-key bound)"
             )
         super().__init__(message, consumed=consumed, budget=budget)

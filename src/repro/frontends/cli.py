@@ -8,8 +8,9 @@ apart without parsing output:
 * ``2`` — usage, I/O, parse or static-semantics error, or an internal error
   that persisted through the retry (message on stderr),
 * ``3`` — a resource envelope was exhausted (``--deadline``, ``--node-budget``,
-  ``--max-iterations``, a ``--shard-timeout``, the BDD kernel's recursion
-  depth or the array store's node slots) before an answer was found.
+  ``--max-iterations``, a ``--shard-timeout``, or one of the BDD kernel's
+  hard limits: recursion depth, node slots, variables) before an answer was
+  found.
 
 A single file with a single target runs in-process and prints the classic
 one-result summary.  Several files and/or several ``--target`` options form

@@ -12,6 +12,9 @@ each one that
 * the complement-edge node count never exceeds the no-complement baseline
   (and wins strictly overall across the corpus),
 * existential quantification agrees with the oracle.
+
+Every check runs on a plain manager and on a snapshot overlay (the
+``make_manager`` fixture in ``conftest.py``).
 """
 
 import itertools
@@ -19,7 +22,7 @@ import random
 
 import pytest
 
-from repro.bdd import BddManager
+from repro.bdd import BddManager, _vector
 
 from reference_bdd import ReferenceBdd
 
@@ -79,14 +82,12 @@ def corpus():
     return [random_formula(rng) for _ in range(NUM_FORMULAS)]
 
 
-@pytest.fixture(params=["array", "dict"])
-def store(request):
-    """Both node-store layouts must satisfy the whole differential contract."""
-    return request.param
+@pytest.fixture
+def mgr(make_manager):
+    return make_manager(VAR_NAMES)
 
 
-def test_truth_tables_and_node_counts_match_reference(corpus, store):
-    mgr = BddManager(VAR_NAMES, store=store)
+def test_truth_tables_and_node_counts_match_reference(corpus, mgr):
     ref = ReferenceBdd(VAR_NAMES)
     complement_total = 0
     reference_total = 0
@@ -105,8 +106,7 @@ def test_truth_tables_and_node_counts_match_reference(corpus, store):
     assert complement_total < reference_total
 
 
-def test_negation_is_the_identity_edge_flip(corpus, store):
-    mgr = BddManager(VAR_NAMES, store=store)
+def test_negation_is_the_identity_edge_flip(corpus, mgr):
     for expr in corpus:
         node = build(expr, mgr)
         stats_before = mgr.stats()
@@ -121,8 +121,7 @@ def test_negation_is_the_identity_edge_flip(corpus, store):
         assert stats_after["ops"] == stats_before["ops"]
 
 
-def test_count_sat_matches_reference(corpus, store):
-    mgr = BddManager(VAR_NAMES, store=store)
+def test_count_sat_matches_reference(corpus, mgr):
     ref = ReferenceBdd(VAR_NAMES)
     for expr in corpus:
         node = build(expr, mgr)
@@ -131,8 +130,13 @@ def test_count_sat_matches_reference(corpus, store):
         assert mgr.count_sat(node, VAR_NAMES) == expected
 
 
-def test_exists_matches_reference(corpus, store):
-    mgr = BddManager(VAR_NAMES, store=store)
+def test_count_sat_recursion_matches_reference(corpus, monkeypatch):
+    """The big-int recursion behind wide counts, forced for every count."""
+    monkeypatch.setattr(_vector, "MAX_VECTOR_COUNT_LEVELS", 0)
+    test_count_sat_matches_reference(corpus, BddManager(VAR_NAMES))
+
+
+def test_exists_matches_reference(corpus, mgr):
     ref = ReferenceBdd(VAR_NAMES)
     rng = random.Random(4242)
     for expr in corpus[:80]:
@@ -146,45 +150,13 @@ def test_exists_matches_reference(corpus, store):
             assert mgr.eval(node, env) == ref.eval(oracle, env)
 
 
-def test_layouts_agree_edge_for_edge(corpus):
-    """The two layouts are not just truth-table equal: identical operation
-    sequences produce identical signed edges, counts and stats-visible node
-    totals, including across an interleaved GC sweep."""
-    arr = BddManager(VAR_NAMES, store="array")
-    dct = BddManager(VAR_NAMES, store="dict")
-    assert arr.stats()["store"] == "array"
-    assert dct.stats()["store"] == "dict"
-    swept = False
-    for i, expr in enumerate(corpus):
-        node_a = build(expr, arr)
-        node_d = build(expr, dct)
-        if not swept:
-            # Identical allocation order => identical edges, until a sweep
-            # makes slot numbering layout-dependent (the dict store refills
-            # free-listed slots, the array store compacts and re-extends).
-            assert node_a == node_d, expr
-        assert arr.count_sat(node_a, VAR_NAMES) == dct.count_sat(node_d, VAR_NAMES)
-        if i == NUM_FORMULAS // 2:
-            # Mid-corpus sweep with nothing protected: both layouts must
-            # reclaim everything down to the terminal.
-            assert arr.collect_garbage() > 0
-            assert dct.collect_garbage() > 0
-            assert len(arr) == len(dct) == 1
-            assert arr.stats()["capacity"] == 1  # tail fully compacted
-            swept = True
-    assert len(arr) == len(dct)
-
-
 def test_count_sat_wide_variable_sets_fall_back_exactly():
     """Counts past 62 variables overflow the vectorised int64 pass; the
-    array store must transparently produce exact big-int counts."""
+    manager must transparently produce exact big-int counts."""
     names = [f"w{i}" for i in range(70)]
-    arr = BddManager(names, store="array")
-    dct = BddManager(names, store="dict")
+    mgr = BddManager(names)
     # f = w0 or w35 or w69 over all 70 variables.
-    fa = arr.disjoin([arr.var("w0"), arr.var("w35"), arr.var("w69")])
-    fd = dct.disjoin([dct.var("w0"), dct.var("w35"), dct.var("w69")])
+    f = mgr.disjoin([mgr.var("w0"), mgr.var("w35"), mgr.var("w69")])
     expected = (1 << 70) - (1 << 67)  # all minus the all-three-false space
-    assert arr.count_sat(fa) == expected
-    assert dct.count_sat(fd) == expected
-    assert arr.count_sat(arr.TRUE) == 1 << 70
+    assert mgr.count_sat(f) == expected
+    assert mgr.count_sat(mgr.TRUE) == 1 << 70

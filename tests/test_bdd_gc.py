@@ -61,8 +61,7 @@ class TestMarkAndSweep:
         assert len(mgr) == live_before - reclaimed
         stats = mgr.stats()
         # Every reclaimed slot is either free-listed for reuse or compacted
-        # away entirely (the array store trims the trailing free run; the
-        # dict store keeps all of them on the free list).
+        # away entirely (the sweep trims the trailing free run).
         trimmed = capacity_before - stats["capacity"]
         assert trimmed >= 0
         assert stats["gc"]["free_slots"] + trimmed == reclaimed

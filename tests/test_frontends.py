@@ -415,8 +415,7 @@ class TestWidePrograms:
             f"  if (g{self.WIDTH - 1}) then target: skip; fi\nend\n"
         )
 
-    @pytest.mark.parametrize("store", ["array", "dict"])
-    def test_wide_program_cli_agrees_with_baselines(self, tmp_path, store):
+    def test_wide_program_cli_agrees_with_baselines(self, tmp_path):
         source = self._source()
         path = tmp_path / "wide.bp"
         path.write_text(source)
@@ -426,7 +425,7 @@ class TestWidePrograms:
         assert run_bebop(program, locations).reachable is False
         assert run_moped(program, locations).reachable is False
         src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=str(src), REPRO_BDD_STORE=store)
+        env = dict(os.environ, PYTHONPATH=str(src))
         proc = subprocess.run(
             [sys.executable, "-m", "repro.frontends.cli", str(path), "--target", "main:target"],
             cwd=tmp_path,

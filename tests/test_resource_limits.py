@@ -19,7 +19,7 @@ import pytest
 
 from repro.algorithms import run_batch, run_sequential
 from repro.api import AnalysisSession
-from repro.bdd import BddManager
+from repro.bdd import BddError, BddManager
 from repro.errors import (
     AnalysisTimeout,
     ExplorationBudgetExceeded,
@@ -27,6 +27,7 @@ from repro.errors import (
     NodeSlotsExhausted,
     RecursionDepthExceeded,
     ResourceExhausted,
+    VariableLimitExceeded,
 )
 from repro.fixedpoint.evaluator import EvaluationError
 from repro.frontends import check_reachability, main
@@ -51,6 +52,12 @@ main() begin
   if (g) then target: skip; fi
 end
 """
+
+#: Twenty globals: far more BDD variables than the ``few_variables`` bound.
+WIDE = (
+    "decl " + ", ".join(f"g{i}" for i in range(20)) + ";\n"
+    "main() begin\n  g0 := *;\n  if (g19) then target: skip; fi\nend\n"
+)
 
 
 class TestTypedErrors:
@@ -86,6 +93,7 @@ class TestTypedErrors:
             ExplorationBudgetExceeded("boom", resource="transitions", consumed=9, budget=8),
             NodeSlotsExhausted(consumed=17, budget=16),
             RecursionDepthExceeded("deep", budget=1000),
+            VariableLimitExceeded(consumed=41, budget=40),
         ):
             clone = pickle.loads(pickle.dumps(exc))
             assert type(clone) is type(exc)
@@ -569,8 +577,11 @@ class TestKernelHardLimits:
 
     @pytest.fixture
     def few_slots(self, monkeypatch):
-        monkeypatch.setattr("repro.bdd._array.MAX_NODE_INDEX", 16)
-        monkeypatch.setenv("REPRO_BDD_STORE", "array")
+        monkeypatch.setattr("repro.bdd.manager.MAX_NODE_INDEX", 16)
+
+    @pytest.fixture
+    def few_variables(self, monkeypatch):
+        monkeypatch.setattr("repro.bdd.manager.MAX_LEVEL", 40)
 
     @pytest.fixture
     def recursion_overrun(self, monkeypatch):
@@ -581,8 +592,8 @@ class TestKernelHardLimits:
 
     @pytest.mark.usefixtures("few_slots")
     def test_slot_overflow_is_typed_and_releasable(self):
-        mgr = BddManager([f"v{i}" for i in range(40)], store="array")
-        with pytest.raises(NodeSlotsExhausted, match="store='dict'") as info:
+        mgr = BddManager([f"v{i}" for i in range(40)])
+        with pytest.raises(NodeSlotsExhausted, match="at most 16 node slots") as info:
             mgr.conjoin(mgr.var(i) for i in range(40))
         assert info.value.resource == "bdd-slots"
         assert info.value.budget == 16
@@ -605,6 +616,36 @@ class TestKernelHardLimits:
         (shard,) = report.shards
         assert shard.status == "resource"
         assert shard.error_detail["resource"] == "bdd-slots"
+
+    @pytest.mark.usefixtures("few_variables")
+    def test_variable_overflow_is_typed_and_leaves_the_manager_intact(self):
+        mgr = BddManager([f"v{i}" for i in range(40)])
+        with pytest.raises(VariableLimitExceeded, match="at most 40 variables") as info:
+            mgr.add_var("extra")
+        assert info.value.resource == "bdd-vars"
+        assert (info.value.consumed, info.value.budget) == (41, 40)
+        assert mgr.num_vars == 40
+        with pytest.raises(BddError, match="unknown variable"):
+            mgr.var_index("extra")
+        assert mgr.count_sat(mgr.var(39)) == 1 << 39
+
+    @pytest.mark.usefixtures("few_variables")
+    def test_variable_overflow_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "wide.bp"
+        path.write_text(WIDE)
+        assert main([str(path), "--target", "main:target"]) == 3
+        err = capsys.readouterr().err
+        assert "variables" in err
+        assert "internal error" not in err
+
+    @pytest.mark.usefixtures("few_variables")
+    def test_variable_overflow_shard_reports_resource(self):
+        report = run_batch(
+            [BatchQuery(name="w", program=WIDE, target="main:target")], jobs=1
+        )
+        (shard,) = report.shards
+        assert shard.status == "resource"
+        assert shard.error_detail["resource"] == "bdd-vars"
 
     @pytest.mark.usefixtures("recursion_overrun")
     def test_recursion_error_is_typed_by_the_session(self):

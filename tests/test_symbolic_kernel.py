@@ -6,7 +6,8 @@ Covers the pieces the PR's kernel rework touches:
   targets, and the staged-overlap case) against brute-force set semantics,
 * ``and_exists`` vs ``exists(and_(...))`` on randomized BDDs,
 * the order-preserving rename fast path vs the ite rebuild fall-back,
-* the recursive kernels over deep variable orders on both stores,
+* the recursive kernels over deep variable orders, on a manager and on a
+  snapshot overlay,
 * static-formula hoisting (compiled plans agree with direct evaluation),
 * cache clearing and statistics plumbing.
 """
@@ -207,21 +208,20 @@ def default_recursion_limit():
 
 
 @pytest.mark.usefixtures("default_recursion_limit")
-@pytest.mark.parametrize("store", ["array", "dict"])
 class TestDeepRecursion:
-    def test_deep_chains(self, store):
+    def test_deep_chains(self, make_manager):
         # Every conjunction walks the whole chain built so far: 1,200 frames.
         names = [f"v{i}" for i in range(1200)]
-        mgr = BddManager(names, store=store)
+        mgr = make_manager(names)
         node = mgr.conjoin(mgr.var(name) for name in names)
         assert mgr.count_sat(node, names) == 1
 
-    def test_deep_ite(self, store):
+    def test_deep_ite(self, make_manager):
         # A genuinely 3-operand ite spanning 1,500 levels (no 2-operand
         # delegation applies).
         n = 1500
         names = [f"v{i}" for i in range(n)]
-        mgr = BddManager(names, store=store)
+        mgr = make_manager(names)
         evens = mgr.conjoin(mgr.var(f"v{i}") for i in range(0, n, 2))
         odds = mgr.conjoin(mgr.var(f"v{i}") for i in range(1, n, 2))
         node = mgr.ite(mgr.var(f"v{n - 1}"), evens, odds)
@@ -230,12 +230,12 @@ class TestDeepRecursion:
         env[f"v{n - 1}"] = False
         assert not mgr.eval(node, env)
 
-    def test_deep_quantify_and_rename(self, store):
+    def test_deep_quantify_and_rename(self, make_manager):
         # Quantification and both rename paths over a deep order; the
         # order-reversing mapping exercises the ite rebuild fall-back.
         n = 1000
         names = [f"a{i}" for i in range(n)] + [f"b{i}" for i in range(n)]
-        mgr = BddManager(names, store=store)
+        mgr = make_manager(names)
         node = mgr.conjoin(mgr.var(f"a{i}") for i in range(n))
         assert mgr.exists(node, [f"a{i}" for i in range(0, n, 2)]) == mgr.conjoin(
             mgr.var(f"a{i}") for i in range(1, n, 2)
@@ -258,20 +258,20 @@ class TestDeepRecursion:
         sys.version_info < (3, 11),
         reason="CPython 3.10 caps the derived recursion limit at 8,000 frames",
     )
-    def test_kernels_at_30000_levels(self, store):
+    def test_kernels_at_30000_levels(self, make_manager):
         n = 30_000
-        mgr = BddManager([f"v{i}" for i in range(n)], store=store)
+        mgr = make_manager([f"v{i}" for i in range(n)])
         every = self._chain(mgr, range(n))
         # Each of these recurses once through all 30,000 levels.
         assert mgr.and_(every, mgr.nvar(n - 1)) == mgr.FALSE
         assert mgr.exists(every, range(0, n, 2)) == self._chain(mgr, range(1, n, 2))
         assert mgr.count_sat(every) == 1
 
-    def test_sat_all_at_30000_levels(self, store):
+    def test_sat_all_at_30000_levels(self, make_manager):
         # sat_all is a loop: a generator recursion this deep overflows the C
         # stack even on interpreters that run Python calls without it.
         n = 30_000
-        mgr = BddManager([f"v{i}" for i in range(n)], store=store)
+        mgr = make_manager([f"v{i}" for i in range(n)])
         (only,) = mgr.sat_all(self._chain(mgr, range(n)), range(n))
         assert only == dict.fromkeys(range(n), True)
         free_last = self._chain(mgr, range(n - 1))
